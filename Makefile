@@ -1,4 +1,4 @@
-.PHONY: check build test bench benchdiff lint apisurface audit-goldens fuzz
+.PHONY: check build test bench benchdiff lint apisurface audit-goldens profile-goldens fuzz
 
 check:
 	sh scripts/check.sh
@@ -44,3 +44,9 @@ apisurface:
 # same test without -update as a diff gate.
 audit-goldens:
 	go test ./internal/escape -run TestAuditGoldenWorkloads -update
+
+# Regenerate the per-workload profile goldens (testdata/profile/): report,
+# two-hop top-10, graph/deadness/steps line and the SHA-256 of the saved
+# profile. `make check` runs the same test without -update as a diff gate.
+profile-goldens:
+	go test . -run TestProfileGoldenWorkloads -update -count=1

@@ -130,17 +130,10 @@ func BenchmarkNodeIntern(b *testing.B) {
 		b.Fatal("no instructions")
 	}
 	b.Run("dense", func(b *testing.B) {
-		g := depgraph.NewSized(prog, 15, false)
+		g := depgraph.NewSized(prog, 15)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			g.TouchFast(instrs[i%len(instrs)], i&15)
-		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		g := depgraph.NewSized(prog, 15, true)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g.Touch(instrs[i%len(instrs)], i&15)
 		}
 	})
 }
@@ -290,24 +283,16 @@ func BenchmarkCostBenefitAnalysis(b *testing.B) {
 	if err := m.Run(); err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name string
-		cfg  costben.Config
-	}{
-		{"frozen", costben.Config{}},
-		{"legacy", costben.Config{Legacy: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a := costben.NewAnalysisWith(p.G, mode.cfg)
-				ranked := a.RankBySite(costben.DefaultTreeHeight)
-				if len(ranked) == 0 {
-					b.Fatal("empty ranking")
-				}
+	b.Run("frozen", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			a := costben.NewAnalysis(p.G)
+			ranked := a.RankBySite(costben.DefaultTreeHeight)
+			if len(ranked) == 0 {
+				b.Fatal("empty ranking")
 			}
-		})
-	}
+		}
+	})
 }
 
 func BenchmarkDeadness(b *testing.B) {

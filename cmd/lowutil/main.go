@@ -323,7 +323,6 @@ func cmdProfile(args []string) error {
 	hops := fs.Int("hops", 1, "heap-to-heap hops for multi-hop cost/benefit")
 	save := fs.String("save", "", "write the profile (Gcost + metadata) to this file for offline analysis")
 	load := fs.String("load", "", "analyze a previously saved profile instead of re-running")
-	legacy := fs.Bool("legacy", false, "run on the reference engine (switch dispatch, map-backed Gcost)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken after the run to this file")
 	path, err := oneFile(fs, args)
@@ -363,9 +362,6 @@ func cmdProfile(args []string) error {
 		}
 		if *prune {
 			opts = append(opts, lowutil.WithPrune())
-		}
-		if *legacy {
-			opts = append(opts, lowutil.WithLegacyEngine())
 		}
 		profile, err = prog.ProfileContext(context.Background(), opts...)
 		if err != nil {

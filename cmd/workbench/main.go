@@ -41,7 +41,6 @@ func main() {
 	objctx := flag.Bool("objctx", false, "slice with one level of receiver-object context")
 	engine := flag.String("engine", "ssa", "vet engine: ssa or dense")
 	method := flag.String("m", "", "restrict -ssa to one method (Class.method)")
-	legacy := flag.Bool("legacy", false, "profile on the reference engine (switch dispatch, map-backed Gcost)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	flag.Parse()
@@ -94,11 +93,7 @@ func main() {
 		fmt.Printf("steps=%d allocs=%d nativeWork=%d\n", res.Steps, res.Allocs, res.NativeWork)
 	case *profileName != "":
 		prog := compile(*profileName, *scale)
-		opts := []lowutil.ProfileOption{lowutil.WithSlots(*slots)}
-		if *legacy {
-			opts = append(opts, lowutil.WithLegacyEngine())
-		}
-		profile, err := prog.ProfileContext(context.Background(), opts...)
+		profile, err := prog.ProfileContext(context.Background(), lowutil.WithSlots(*slots))
 		if err != nil {
 			fatalf("%v", err)
 		}

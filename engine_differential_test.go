@@ -1,9 +1,10 @@
-// Differential proof that the hot-path engine — handler-table dispatch with
-// inline caches over the dense interned Gcost — is observationally identical
-// to the reference engine (switch dispatch, map-backed graph): byte-identical
-// profile reports, serialized profiles, multi-hop slices, and client-analysis
-// stats on every workload, plus a race check that two concurrent profiles
-// share no state and a fuzz harness for inline-cache invalidation under
+// Differential proof that the profiling engine — handler-table dispatch with
+// inline caches over the dense interned Gcost, the frozen cost-benefit DP
+// and the condensed deadness analysis — computes what the paper defines:
+// on every workload its Gcost and metrics equal those of the deliberately
+// naive reference in internal/oracle. Also: the handler-table and switch
+// interpreter loops agree unprofiled, two concurrent profiles share no
+// state, and a fuzz harness drives inline-cache invalidation under
 // receiver-class rebinding.
 package lowutil
 
@@ -15,6 +16,8 @@ import (
 	"testing"
 
 	"lowutil/internal/interp"
+	"lowutil/internal/oracle"
+	"lowutil/internal/oracle/oraclecheck"
 	"lowutil/internal/workloads"
 )
 
@@ -47,57 +50,53 @@ func compileWorkload(t testing.TB, w *workloads.Workload, scale int) *Program {
 	return prog
 }
 
-// profileOutputs captures every engine-sensitive output the CLI can print
-// for a profile run: the ranked report, the serialized profile bytes, the
-// multi-hop slice report, and the client-analysis stats.
-func profileOutputs(t *testing.T, prog *Program, legacy bool) (report, saved, multihop, stats string) {
+// checkAgainstOracle profiles prog through the facade with opts and
+// requires its Gcost, every cost-benefit metric at the run's tree height,
+// and the deadness measurement to equal the oracle's, which is built on the
+// switch interpreter loop from the same options.
+func checkAgainstOracle(t testing.TB, prog *Program, opts ...ProfileOption) {
 	t.Helper()
-	var opts []ProfileOption
-	if legacy {
-		opts = append(opts, WithLegacyEngine())
-	}
 	profile, err := prog.ProfileContext(context.Background(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := profile.Save(&buf); err != nil {
+	want, steps, err := oracle.Profile(prog.prog, applyProfileOptions(opts).Slots, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var mh strings.Builder
-	for i, f := range profile.TopStructuresMultiHop(10, 2) {
-		fmt.Fprintf(&mh, "%3d. %s\n", i+1, f)
+	if steps != profile.Steps() {
+		t.Fatalf("steps: oracle %d, engine %d", steps, profile.Steps())
 	}
-	gs := profile.GraphStats()
-	ds := profile.Deadness()
-	return profile.Report(DefaultTop), buf.String(), mh.String(),
-		fmt.Sprintf("%+v %+v steps=%d", gs, ds, profile.Steps())
+	if err := oraclecheck.All(want, profile.prof.G, steps, profile.height); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestEngineDifferentialAllWorkloads proves the dense-graph handler-table
-// engine and the legacy engine produce byte-identical outputs on every
-// workload. Report, saved profile, multi-hop slice, and stats must each
-// match exactly — any divergence in dispatch order, inline-cache fills, or
-// graph iteration order would surface here.
+// TestEngineDifferentialAllWorkloads proves the profiling engine — the
+// handler-table interpreter with inline caches, the dense interned Gcost,
+// the frozen cost-benefit DP and the condensed deadness analysis — agrees
+// with the definition-level oracle on every workload: any lost event,
+// misattributed context, or DP shortcut that changes a count surfaces here.
 func TestEngineDifferentialAllWorkloads(t *testing.T) {
 	for _, w := range diffWorkloads(t) {
 		t.Run(w.Name, func(t *testing.T) {
-			prog := compileWorkload(t, w, 1)
-			report, saved, multihop, stats := profileOutputs(t, prog, false)
-			lreport, lsaved, lmultihop, lstats := profileOutputs(t, prog, true)
-			if report != lreport {
-				t.Errorf("report differs:\n--- dense ---\n%s\n--- legacy ---\n%s", report, lreport)
-			}
-			if saved != lsaved {
-				t.Errorf("serialized profile differs (%d vs %d bytes)", len(saved), len(lsaved))
-			}
-			if multihop != lmultihop {
-				t.Errorf("multi-hop slice differs:\n--- dense ---\n%s\n--- legacy ---\n%s", multihop, lmultihop)
-			}
-			if stats != lstats {
-				t.Errorf("stats differ: dense %q vs legacy %q", stats, lstats)
-			}
+			checkAgainstOracle(t, compileWorkload(t, w, 1))
 		})
+	}
+}
+
+// TestEngineDifferentialOptions repeats the oracle comparison at other
+// context-slot counts and tree heights.
+func TestEngineDifferentialOptions(t *testing.T) {
+	configs := map[string][]ProfileOption{
+		"slots4":  {WithSlots(4)},
+		"height2": {WithSlots(1), WithTreeHeight(2)},
+	}
+	for _, name := range []string{"chart", "bloat", "eclipse"} {
+		prog := compileWorkload(t, workloads.ByName(name), 1)
+		for cname, opts := range configs {
+			t.Run(name+"/"+cname, func(t *testing.T) { checkAgainstOracle(t, prog, opts...) })
+		}
 	}
 }
 
@@ -139,7 +138,11 @@ func TestInterpreterDifferentialAllWorkloads(t *testing.T) {
 func TestConcurrentProfilesShareNoState(t *testing.T) {
 	w := workloads.ByName("eclipse")
 	prog := compileWorkload(t, w, 1)
-	ref, _, _, _ := profileOutputs(t, prog, false)
+	seq, err := prog.ProfileContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := seq.Report(DefaultTop)
 
 	results := make([]string, 2)
 	errs := make([]error, 2)
@@ -205,9 +208,10 @@ class Main {
 }
 
 // FuzzInlineCacheInvalidation drives the inline-cache invalidation protocol
-// with arbitrary receiver-class rebinding sequences. The oracle is the
-// legacy switch interpreter: for every sequence, both engines must print
-// the same output and take the same number of steps, profiled or not.
+// with arbitrary receiver-class rebinding sequences. For every sequence the
+// handler-table and switch interpreter loops must print the same output
+// and take the same number of steps, and the profiled run must agree with
+// the oracle (itself run on the switch loop).
 func FuzzInlineCacheInvalidation(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0, 1, 2})
@@ -235,11 +239,6 @@ func FuzzInlineCacheInvalidation(f *testing.F) {
 		if out != lout || steps != lsteps {
 			t.Fatalf("engines diverge on seq %v: %q/%d vs %q/%d", seq, out, steps, lout, lsteps)
 		}
-		report, _, _, _ := profileOutputs(t, prog, false)
-		lreport, _, _, _ := profileOutputs(t, prog, true)
-		if report != lreport {
-			t.Fatalf("profiled reports diverge on seq %v:\n--- dense ---\n%s\n--- legacy ---\n%s",
-				seq, report, lreport)
-		}
+		checkAgainstOracle(t, prog)
 	})
 }

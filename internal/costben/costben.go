@@ -35,55 +35,34 @@ const ConsumedRAB = 1e7
 // complex container classes in the Java collection framework".
 const DefaultTreeHeight = 4
 
-// Config selects the analysis implementation.
+// Config tunes the analysis.
 type Config struct {
-	// Legacy switches back to the per-query graph traversal the frozen DP
-	// replaced. Legacy caches are not goroutine-safe, so legacy analyses
-	// always rank serially.
-	Legacy bool
 	// Workers bounds the ranking worker pool; 0 means GOMAXPROCS.
 	Workers int
 }
 
-// Analysis computes the paper's metrics over a finished Gcost. The default
-// implementation freezes the graph into a CSR snapshot and computes
-// HRAC/HRAB for all nodes in one condensed DP sweep; Config.Legacy restores
-// the per-query traversal path.
+// Analysis computes the paper's metrics over a finished Gcost. It freezes
+// the graph into a CSR snapshot and computes HRAC/HRAB for all nodes in one
+// condensed DP sweep.
 type Analysis struct {
 	G   *depgraph.Graph
 	cfg Config
 
-	// Frozen path: snapshot plus the snapshot-memoized DP arrays, attached
-	// on first use.
+	// The snapshot plus the snapshot-memoized DP arrays, attached on first
+	// use.
 	snap   *depgraph.Snapshot
 	dpOnce sync.Once
 	dp     *dpData
-
-	// Legacy path: per-node memo maps.
-	hrac map[*depgraph.Node]int64
-	hrab map[*depgraph.Node]hrabEntry
 }
 
-type hrabEntry struct {
-	sum      int64
-	consumed bool
-}
-
-// NewAnalysis wraps a finished graph with the default (frozen) configuration.
+// NewAnalysis wraps a finished graph with the default configuration.
 func NewAnalysis(g *depgraph.Graph) *Analysis {
 	return NewAnalysisWith(g, Config{})
 }
 
 // NewAnalysisWith wraps a finished graph with an explicit configuration.
 func NewAnalysisWith(g *depgraph.Graph, cfg Config) *Analysis {
-	a := &Analysis{G: g, cfg: cfg}
-	if cfg.Legacy {
-		a.hrac = make(map[*depgraph.Node]int64)
-		a.hrab = make(map[*depgraph.Node]hrabEntry)
-	} else {
-		a.snap = g.Freeze()
-	}
-	return a
+	return &Analysis{G: g, cfg: cfg, snap: g.Freeze()}
 }
 
 // ensureDP attaches the dense HRAC/HRAB/RAC/RAB arrays; safe for concurrent
@@ -96,60 +75,32 @@ func (a *Analysis) ensureDP() {
 
 // HRAC returns the heap-relative abstract cost of a node.
 func (a *Analysis) HRAC(n *depgraph.Node) int64 {
-	if a.cfg.Legacy {
-		if v, ok := a.hrac[n]; ok {
-			return v
-		}
-		v := depgraph.HRAC(n)
-		a.hrac[n] = v
-		return v
-	}
 	a.ensureDP()
 	if id, ok := a.snap.ID(n); ok {
 		return a.dp.hrac[id]
 	}
-	return depgraph.HRAC(n) // node added after the snapshot was taken
+	return depgraph.HRACK(n, 1) // node added after the snapshot was taken
 }
 
 // HRAB returns the heap-relative abstract benefit of a node and whether the
 // value reached a consumer.
 func (a *Analysis) HRAB(n *depgraph.Node) (int64, bool) {
-	if a.cfg.Legacy {
-		if v, ok := a.hrab[n]; ok {
-			return v.sum, v.consumed
-		}
-		sum, consumed := depgraph.HRAB(n)
-		a.hrab[n] = hrabEntry{sum, consumed}
-		return sum, consumed
-	}
 	a.ensureDP()
 	if id, ok := a.snap.ID(n); ok {
 		return a.dp.hrab[id], a.dp.consumed[id]
 	}
-	return depgraph.HRAB(n)
+	return depgraph.HRABK(n, 1)
 }
 
 // RAC returns the relative abstract cost of an abstract location: the mean
 // HRAC of the store nodes that write it (Definition 5). Locations never
 // written have RAC 0.
 func (a *Analysis) RAC(loc depgraph.Loc) float64 {
-	if !a.cfg.Legacy {
-		a.ensureDP()
-		if li, ok := a.snap.LocID(loc); ok {
-			return a.dp.rac[li]
-		}
-		return 0 // unknown location: never stored or loaded
+	a.ensureDP()
+	if li, ok := a.snap.LocID(loc); ok {
+		return a.dp.rac[li]
 	}
-	var sum int64
-	n := 0
-	a.G.StoresOf(loc, func(s *depgraph.Node) {
-		sum += a.HRAC(s)
-		n++
-	})
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
+	return 0 // unknown location: never stored or loaded
 }
 
 // RAB returns the relative abstract benefit of an abstract location: the
@@ -157,74 +108,21 @@ func (a *Analysis) RAC(loc depgraph.Loc) float64 {
 // any read value reaches a predicate or native consumer; 0 if the location
 // is never read.
 func (a *Analysis) RAB(loc depgraph.Loc) float64 {
-	if !a.cfg.Legacy {
-		a.ensureDP()
-		if li, ok := a.snap.LocID(loc); ok {
-			return a.dp.rab[li]
-		}
-		return 0
+	a.ensureDP()
+	if li, ok := a.snap.LocID(loc); ok {
+		return a.dp.rab[li]
 	}
-	var sum int64
-	n := 0
-	infinite := false
-	a.G.LoadsOf(loc, func(l *depgraph.Node) {
-		s, consumed := a.HRAB(l)
-		if consumed {
-			infinite = true
-		}
-		sum += s
-		n++
-	})
-	if infinite {
-		return InfiniteRAB
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
-}
-
-// Tree is the object reference tree RT_n of Definition 7: the set of
-// allocation nodes within n reference hops of the root, with cycles removed
-// by first-visit.
-type Tree struct {
-	Root  *depgraph.Node
-	Depth map[*depgraph.Node]int
-}
-
-// ObjectTree builds RT_n rooted at root using the graph's points-to
-// children.
-func (a *Analysis) ObjectTree(root *depgraph.Node, height int) *Tree {
-	t := &Tree{Root: root, Depth: map[*depgraph.Node]int{root: 0}}
-	frontier := []*depgraph.Node{root}
-	for d := 0; d < height && len(frontier) > 0; d++ {
-		var next []*depgraph.Node
-		for _, owner := range frontier {
-			a.G.Children(owner, func(_ int, child *depgraph.Node) {
-				if _, seen := t.Depth[child]; seen {
-					return // cycle or diamond: keep first (shallowest) visit
-				}
-				t.Depth[child] = d + 1
-				next = append(next, child)
-			})
-		}
-		frontier = next
-	}
-	return t
+	return 0
 }
 
 // NRAC computes the n-RAC of the data structure rooted at root: the sum of
-// RACs of every field of every object strictly inside the tree (depth < n,
-// so that the field's target — if any — is still within RT_n).
+// RACs of every field of every object strictly inside its object reference
+// tree RT_n of Definition 7 — the allocation nodes within n reference hops
+// of root, cycles cut at first visit — so depth < n, and the field's target
+// (if any) is still within RT_n.
 func (a *Analysis) NRAC(root *depgraph.Node, height int) float64 {
-	if !a.cfg.Legacy {
-		a.ensureDP()
-		if id, ok := a.snap.ID(root); ok {
-			v, _ := aggregateFrozen(a.snap, a.dp, id, height, false)
-			return v
-		}
-	}
-	v, _ := a.aggregate(root, height, a.RAC)
+	a.ensureDP()
+	v, _ := a.aggregate(root, height, a.dp, false)
 	return v
 }
 
@@ -239,41 +137,19 @@ func (a *Analysis) NRAB(root *depgraph.Node, height int) float64 {
 // NRABDetail is NRAB plus the consumed flag: true when at least one
 // aggregated field's values reach a predicate or native consumer.
 func (a *Analysis) NRABDetail(root *depgraph.Node, height int) (float64, bool) {
-	if !a.cfg.Legacy {
-		a.ensureDP()
-		if id, ok := a.snap.ID(root); ok {
-			return aggregateFrozen(a.snap, a.dp, id, height, true)
-		}
-	}
-	return a.aggregate(root, height, a.RAB)
+	a.ensureDP()
+	return a.aggregate(root, height, a.dp, true)
 }
 
-func (a *Analysis) aggregate(root *depgraph.Node, height int, metric func(depgraph.Loc) float64) (float64, bool) {
-	t := a.ObjectTree(root, height)
-	consumed := false
-	// t.Depth and FieldsOf iterate maps; float addition is not associative,
-	// so sum the per-field values in sorted order to keep results
-	// byte-identical across runs.
-	var vals []float64
-	for owner, depth := range t.Depth {
-		if depth >= height {
-			continue
-		}
-		a.G.FieldsOf(owner, func(field int) {
-			v := metric(depgraph.Loc{Alloc: owner, Field: field})
-			if v == InfiniteRAB {
-				consumed = true
-				v = ConsumedRAB
-			}
-			vals = append(vals, v)
-		})
+// aggregate sums dp's per-location cost (or benefit) over RT_height(root).
+// A root the snapshot does not know — allocated after the analysis froze
+// the graph — owns no snapshot fields and aggregates to zero.
+func (a *Analysis) aggregate(root *depgraph.Node, height int, dp *dpData, benefit bool) (float64, bool) {
+	id, ok := a.snap.ID(root)
+	if !ok {
+		return 0, false
 	}
-	sort.Float64s(vals)
-	total := 0.0
-	for _, v := range vals {
-		total += v
-	}
-	return total, consumed
+	return aggregateFrozen(a.snap, dp, id, height, benefit)
 }
 
 // StructureReport is one ranked entry of the low-utility report: a data
@@ -327,14 +203,9 @@ func (a *Analysis) RankStructures(height int) []*StructureReport {
 			allocs = append(allocs, n)
 		}
 	})
-	workers := a.cfg.Workers
-	if a.cfg.Legacy {
-		workers = 1 // legacy memo maps are not goroutine-safe
-	} else {
-		a.ensureDP() // build the shared DP arrays before workers start
-	}
+	a.ensureDP() // build the shared DP arrays before workers start
 	out := make([]*StructureReport, len(allocs))
-	par.ForEach(len(allocs), workers, func(i int) {
+	par.ForEach(len(allocs), a.cfg.Workers, func(i int) {
 		n := allocs[i]
 		cost := a.NRAC(n, height)
 		ben, consumed := a.NRABDetail(n, height)

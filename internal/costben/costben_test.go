@@ -195,8 +195,9 @@ class Main {
 	}
 }
 
-// TestObjectTreeDepths: a 3-level structure (Outer → Mid → Leaf) yields
-// correct tree depths and n-RAC aggregation grows with n.
+// TestObjectTreeDepthsAndNRAC: a 3-level structure (Outer → Mid → Leaf)
+// puts Mid at depth 1 and Leaf at depth 2 of Outer's reference tree, so
+// n-RAC grows with n until n = 3 covers every level, and no further.
 func TestObjectTreeDepthsAndNRAC(t *testing.T) {
 	p, _, prog := profiled(t, `
 class Leaf { int v; }
@@ -224,9 +225,12 @@ class Main {
 	midAlloc := allocNode(t, p, prog, siteOfNthNew(prog, "Mid", 0))
 	leafAlloc := allocNode(t, p, prog, siteOfNthNew(prog, "Leaf", 0))
 
-	tree := a.ObjectTree(outerAlloc, 4)
-	if tree.Depth[outerAlloc] != 0 || tree.Depth[midAlloc] != 1 || tree.Depth[leafAlloc] != 2 {
-		t.Errorf("depths = %v", tree.Depth)
+	// Each level contributes what its own root aggregates at n = 1.
+	if got, want := a.NRAC(outerAlloc, 3), a.NRAC(outerAlloc, 1)+a.NRAC(midAlloc, 1)+a.NRAC(leafAlloc, 1); math.Abs(got-want) > 1e-9*want {
+		t.Errorf("3-RAC(outer) = %v, want the sum of each level's 1-RAC %v", got, want)
+	}
+	if a.NRAC(outerAlloc, 4) != a.NRAC(outerAlloc, 3) {
+		t.Error("n-RAC grew past the tree's depth")
 	}
 
 	r1 := a.NRAC(outerAlloc, 1)
@@ -256,13 +260,11 @@ class Main {
 }`, 16)
 	an := NewAnalysis(p.G)
 	aAlloc := allocNode(t, p, prog, siteOfNthNew(prog, "Node", 0))
-	tree := an.ObjectTree(aAlloc, 10)
-	if len(tree.Depth) != 2 {
-		t.Errorf("cycle tree size = %d, want 2", len(tree.Depth))
-	}
-	// And aggregation must terminate with a finite number.
-	if v := an.NRAC(aAlloc, 10); math.IsNaN(v) || math.IsInf(v, 0) {
-		t.Errorf("NRAC over cycle = %v", v)
+	// The cycle a → b → a cuts at first visit: the tree is {a, b} at every
+	// n ≥ 2, so aggregation terminates with the 2-level value.
+	v := an.NRAC(aAlloc, 10)
+	if math.IsNaN(v) || math.IsInf(v, 0) || v != an.NRAC(aAlloc, 2) || v <= an.NRAC(aAlloc, 1) {
+		t.Errorf("NRAC over cycle: n=1 %v, n=2 %v, n=10 %v", an.NRAC(aAlloc, 1), an.NRAC(aAlloc, 2), v)
 	}
 }
 

@@ -1,16 +1,19 @@
-package costben
+package costben_test
 
 // Differential proof for the frozen DP path: on every workload, every
 // metric the analysis exposes — per-node HRAC/HRAB, per-location RAC/RAB,
-// per-structure NRAC/NRAB, and both rankings — must be bit-identical
-// between the legacy per-query traversal and the condensed DP sweep, and
-// the parallel ranking must be bit-identical to the serial one.
+// per-structure n-RAC/n-RAB — must be bit-identical to the definition-level
+// walks of package oracle, and the parallel ranking must be bit-identical
+// to the serial one.
 
 import (
 	"testing"
 
+	"lowutil/internal/costben"
 	"lowutil/internal/depgraph"
 	"lowutil/internal/interp"
+	"lowutil/internal/oracle"
+	"lowutil/internal/oracle/oraclecheck"
 	"lowutil/internal/profiler"
 	"lowutil/internal/workloads"
 )
@@ -34,20 +37,23 @@ func profileWorkload(t *testing.T, name string) *depgraph.Graph {
 	return p.G
 }
 
-func sameReports(t *testing.T, kind string, frozen, legacy []*SiteReport) {
+func sameReports(t *testing.T, kind string, a, b []*costben.SiteReport) {
 	t.Helper()
-	if len(frozen) != len(legacy) {
-		t.Fatalf("%s: %d vs %d entries", kind, len(frozen), len(legacy))
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d vs %d entries", kind, len(a), len(b))
 	}
-	for i := range frozen {
-		f, l := frozen[i], legacy[i]
+	for i := range a {
+		f, l := a[i], b[i]
 		if f.Site != l.Site || f.NRAC != l.NRAC || f.NRAB != l.NRAB ||
 			f.Rate != l.Rate || f.Consumed != l.Consumed || f.AllocFreq != l.AllocFreq {
-			t.Fatalf("%s entry %d differs:\n frozen %v\n legacy %v", kind, i, f, l)
+			t.Fatalf("%s entry %d differs:\n %v\n %v", kind, i, f, l)
 		}
 	}
 }
 
+// TestFrozenMatchesLegacyAllWorkloads checks the frozen DP against the
+// oracle (the name predates the oracle, which replaced a second, per-query
+// traversal implementation inside this package).
 func TestFrozenMatchesLegacyAllWorkloads(t *testing.T) {
 	names := make([]string, 0, len(workloads.All()))
 	for _, w := range workloads.All() {
@@ -60,72 +66,28 @@ func TestFrozenMatchesLegacyAllWorkloads(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			g := profileWorkload(t, name)
-			frozen := NewAnalysis(g)
-			legacy := NewAnalysisWith(g, Config{Legacy: true})
-
-			// Per-node metrics over every node of the graph.
-			g.Nodes(func(n *depgraph.Node) {
-				if fc, lc := frozen.HRAC(n), legacy.HRAC(n); fc != lc {
-					t.Fatalf("HRAC(%v) = %d frozen, %d legacy", n, fc, lc)
-				}
-				fb, fcons := frozen.HRAB(n)
-				lb, lcons := legacy.HRAB(n)
-				if fb != lb || fcons != lcons {
-					t.Fatalf("HRAB(%v) = %d,%v frozen, %d,%v legacy", n, fb, fcons, lb, lcons)
-				}
-			})
-
-			// Per-location metrics.
-			g.Locs(func(loc depgraph.Loc) {
-				if fr, lr := frozen.RAC(loc), legacy.RAC(loc); fr != lr {
-					t.Fatalf("RAC(%v) = %v frozen, %v legacy", loc, fr, lr)
-				}
-				if fr, lr := frozen.RAB(loc), legacy.RAB(loc); fr != lr {
-					t.Fatalf("RAB(%v) = %v frozen, %v legacy", loc, fr, lr)
-				}
-			})
-
-			// Per-structure aggregates.
-			g.Nodes(func(n *depgraph.Node) {
-				if n.Eff != depgraph.EffAlloc {
-					return
-				}
-				if fc, lc := frozen.NRAC(n, DefaultTreeHeight), legacy.NRAC(n, DefaultTreeHeight); fc != lc {
-					t.Fatalf("NRAC(%v) = %v frozen, %v legacy", n, fc, lc)
-				}
-				fb, fcons := frozen.NRABDetail(n, DefaultTreeHeight)
-				lb, lcons := legacy.NRABDetail(n, DefaultTreeHeight)
-				if fb != lb || fcons != lcons {
-					t.Fatalf("NRAB(%v) = %v,%v frozen, %v,%v legacy", n, fb, fcons, lb, lcons)
-				}
-			})
-
-			// Full rankings.
-			fr := frozen.RankStructures(DefaultTreeHeight)
-			lr := legacy.RankStructures(DefaultTreeHeight)
-			if len(fr) != len(lr) {
-				t.Fatalf("RankStructures: %d vs %d entries", len(fr), len(lr))
+			want, _, err := oracle.Profile(g.Prog, 16, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range fr {
-				f, l := fr[i], lr[i]
-				if f.Alloc != l.Alloc || f.NRAC != l.NRAC || f.NRAB != l.NRAB ||
-					f.Rate != l.Rate || f.Consumed != l.Consumed || f.AllocFreq != l.AllocFreq {
-					t.Fatalf("RankStructures entry %d differs:\n frozen %v\n legacy %v", i, f, l)
-				}
+			if err := oraclecheck.Graph(want, g); err != nil {
+				t.Fatal(err)
 			}
-			sameReports(t, "RankBySite", frozen.RankBySite(DefaultTreeHeight), legacy.RankBySite(DefaultTreeHeight))
+			if err := oraclecheck.Metrics(want, g, costben.NewAnalysis(g), costben.DefaultTreeHeight); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
 
 func TestParallelRankingDeterministic(t *testing.T) {
 	g := profileWorkload(t, "eclipse")
-	serial := NewAnalysisWith(g, Config{Workers: 1})
-	parallel := NewAnalysisWith(g, Config{Workers: 8})
-	want := serial.RankBySite(DefaultTreeHeight)
+	serial := costben.NewAnalysisWith(g, costben.Config{Workers: 1})
+	parallel := costben.NewAnalysisWith(g, costben.Config{Workers: 8})
+	want := serial.RankBySite(costben.DefaultTreeHeight)
 	// Re-rank several times: any map-order or scheduling nondeterminism in
 	// the parallel merge would flake here.
 	for round := 0; round < 5; round++ {
-		sameReports(t, "parallel RankBySite", parallel.RankBySite(DefaultTreeHeight), want)
+		sameReports(t, "parallel RankBySite", parallel.RankBySite(costben.DefaultTreeHeight), want)
 	}
 }

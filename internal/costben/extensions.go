@@ -54,17 +54,33 @@ func (a *Analysis) RABK(loc depgraph.Loc, hops int) float64 {
 	return float64(sum) / float64(n)
 }
 
+// hopKey memoizes hopDP's arrays on the snapshot, per hop budget.
+type hopKey int
+
+// hopDP returns the per-location k-hop RAC/RAB arrays, memoized on the
+// snapshot like the single-hop ones.
+func (a *Analysis) hopDP(hops int) *dpData {
+	s := a.snap
+	return s.Memo(hopKey(hops), func() any {
+		d := &dpData{rac: make([]float64, len(s.Locs)), rab: make([]float64, len(s.Locs))}
+		for li, loc := range s.Locs {
+			d.rac[li], d.rab[li] = a.RACK(loc, hops), a.RABK(loc, hops)
+		}
+		return d
+	}).(*dpData)
+}
+
 // NRACK and NRABK aggregate the k-hop metrics over the reference tree, like
 // NRAC/NRAB.
 func (a *Analysis) NRACK(root *depgraph.Node, height, hops int) float64 {
-	v, _ := a.aggregate(root, height, func(loc depgraph.Loc) float64 { return a.RACK(loc, hops) })
+	v, _ := a.aggregate(root, height, a.hopDP(hops), false)
 	return v
 }
 
 // NRABK is the benefit dual of NRACK; consumed fields contribute
 // ConsumedRAB, and the flag reports whether any existed.
 func (a *Analysis) NRABK(root *depgraph.Node, height, hops int) (float64, bool) {
-	return a.aggregate(root, height, func(loc depgraph.Loc) float64 { return a.RABK(loc, hops) })
+	return a.aggregate(root, height, a.hopDP(hops), true)
 }
 
 // ---- Cache effectiveness ----

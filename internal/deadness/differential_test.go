@@ -1,17 +1,22 @@
-package deadness
+package deadness_test
 
-// Differential proof that the frozen-snapshot propagation matches the
-// original map-based SCC path on every workload: same per-node outcomes and
-// same aggregate IPD/IPP/NLD inputs.
+// Differential proof that the condensed propagation matches the
+// definition-level deadness of package oracle on every workload: same
+// D*/P* class for every node and the same IPD/IPP/NLD and their inputs.
 
 import (
 	"testing"
 
 	"lowutil/internal/interp"
+	"lowutil/internal/oracle"
+	"lowutil/internal/oracle/oraclecheck"
 	"lowutil/internal/profiler"
 	"lowutil/internal/workloads"
 )
 
+// TestFrozenMatchesLegacyAllWorkloads checks Analyze against the oracle (the
+// name predates the oracle, which replaced a second, map-based propagation
+// inside this package).
 func TestFrozenMatchesLegacyAllWorkloads(t *testing.T) {
 	names := make([]string, 0, len(workloads.All()))
 	for _, w := range workloads.All() {
@@ -34,25 +39,12 @@ func TestFrozenMatchesLegacyAllWorkloads(t *testing.T) {
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
-
-			frozen := Analyze(p.G, m.Steps)
-			legacy := analyzeLegacy(p.G, m.Steps)
-
-			if frozen.Instances != legacy.Instances ||
-				frozen.TotalInstances != legacy.TotalInstances ||
-				frozen.DeadFreq != legacy.DeadFreq ||
-				frozen.PredFreq != legacy.PredFreq ||
-				frozen.DeadNodes != legacy.DeadNodes ||
-				frozen.Nodes != legacy.Nodes {
-				t.Fatalf("aggregates differ:\n frozen %+v\n legacy %+v", frozen, legacy)
+			want, _, err := oracle.Profile(prog, 16, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(frozen.Out) != len(legacy.Out) {
-				t.Fatalf("Out: %d vs %d nodes", len(frozen.Out), len(legacy.Out))
-			}
-			for n, out := range legacy.Out {
-				if frozen.Out[n] != out {
-					t.Fatalf("outcome of %v: frozen %b, legacy %b", n, frozen.Out[n], out)
-				}
+			if err := oraclecheck.Deadness(want, p.G, m.Steps); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -145,7 +145,7 @@ func TestHRACStopsAtHeapReads(t *testing.T) {
 	g.AddDep(comp1, load)
 	g.AddDep(comp2, comp1)
 	g.AddDep(store, comp2)
-	if got := HRAC(store); got != 3+9+7 {
+	if got := HRACK(store, 1); got != 3+9+7 {
 		t.Errorf("HRAC = %d, want 19 (load excluded)", got)
 	}
 	if got := AbstractCost(store); got != 3+9+7+100 {
@@ -166,7 +166,7 @@ func TestHRABStopsAtHeapWritesAndFlagsConsumers(t *testing.T) {
 	store.SetFreq(50)
 	g.AddDep(comp, load) // load used by comp
 	g.AddDep(store, comp)
-	sum, consumed := HRAB(load)
+	sum, consumed := HRABK(load, 1)
 	if sum != 5+2 {
 		t.Errorf("HRAB = %d, want 7 (store excluded)", sum)
 	}
@@ -178,7 +178,7 @@ func TestHRABStopsAtHeapWritesAndFlagsConsumers(t *testing.T) {
 	pred := g.Node(findOp(prog, ir.OpIf), NoContext)
 	pred.SetFreq(10)
 	g.AddDep(pred, load)
-	sum, consumed = HRAB(load)
+	sum, consumed = HRABK(load, 1)
 	if !consumed {
 		t.Error("consumer flag missing")
 	}
@@ -227,7 +227,7 @@ func findNthOp(prog *ir.Program, op ir.Op, n int) *ir.Instr {
 
 func TestSCCChain(t *testing.T) {
 	g, nodes := chainGraph(t, []int64{1, 1, 1, 1})
-	comps, compOf := g.SCC()
+	comps, compOf := forwardSCC(g)
 	if len(comps) != 4 {
 		t.Fatalf("comps = %d, want 4", len(comps))
 	}
@@ -249,7 +249,7 @@ func TestSCCCycleMerges(t *testing.T) {
 	g.AddDep(a, b)
 	g.AddDep(b, a) // cycle a ↔ b
 	g.AddDep(c, a) // c depends on a: def→use edge a → c
-	comps, compOf := g.SCC()
+	comps, compOf := forwardSCC(g)
 	if len(comps) != 2 {
 		t.Fatalf("comps = %d, want 2", len(comps))
 	}
@@ -279,7 +279,7 @@ func TestSCCOrderProperty(t *testing.T) {
 				g.AddDep(nodes[from], nodes[to])
 			}
 		}
-		_, compOf := g.SCC()
+		_, compOf := forwardSCC(g)
 		ok := true
 		for _, nd := range nodes {
 			nd.Uses(func(u *Node) {

@@ -162,23 +162,9 @@ func (s *Snapshot) buildAdj(setOf func(*Node) *nodeSet) (start, data []int32) {
 // accesses).
 func (s *Snapshot) buildLocs() {
 	g := s.G
-	if g.legacy {
-		seen := make(map[Loc]struct{}, len(g.locStores)+len(g.locLoads))
-		for loc := range g.locStores {
-			seen[loc] = struct{}{}
-		}
-		for loc := range g.locLoads {
-			seen[loc] = struct{}{}
-		}
-		s.Locs = make([]Loc, 0, len(seen))
-		for loc := range seen {
-			s.Locs = append(s.Locs, loc)
-		}
-	} else {
-		for i := range g.locEntries {
-			if g.locEntries[i].accessed {
-				s.Locs = append(s.Locs, g.locEntries[i].loc)
-			}
+	for i := range g.locEntries {
+		if g.locEntries[i].accessed {
+			s.Locs = append(s.Locs, g.locEntries[i].loc)
 		}
 	}
 	sort.Slice(s.Locs, func(i, j int) bool { return locLess(s.Locs[i], s.Locs[j]) })
@@ -187,13 +173,8 @@ func (s *Snapshot) buildLocs() {
 		s.locID[loc] = int32(i)
 	}
 
-	if g.legacy {
-		s.StoreStart, s.Store = s.buildLocCSRMap(g.locStores)
-		s.LoadStart, s.Load = s.buildLocCSRMap(g.locLoads)
-	} else {
-		s.StoreStart, s.Store = s.buildLocCSRList(func(e *locEntry) []int32 { return e.stores })
-		s.LoadStart, s.Load = s.buildLocCSRList(func(e *locEntry) []int32 { return e.loads })
-	}
+	s.StoreStart, s.Store = s.buildLocCSR(func(e *locEntry) []int32 { return e.stores })
+	s.LoadStart, s.Load = s.buildLocCSR(func(e *locEntry) []int32 { return e.loads })
 
 	// Locs is sorted by owner, so each owner's fields form a contiguous run.
 	n := len(s.Nodes)
@@ -221,26 +202,7 @@ func (s *Snapshot) buildLocs() {
 	}
 }
 
-func (s *Snapshot) buildLocCSRMap(m map[Loc]map[*Node]struct{}) (start, data []int32) {
-	nl := len(s.Locs)
-	start = make([]int32, nl+1)
-	for li, loc := range s.Locs {
-		start[li+1] = start[li] + int32(len(m[loc]))
-	}
-	data = make([]int32, start[nl])
-	for li, loc := range s.Locs {
-		i := start[li]
-		for n := range m[loc] {
-			data[i] = s.perm[n.id]
-			i++
-		}
-		row := data[start[li]:start[li+1]]
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-	}
-	return start, data
-}
-
-func (s *Snapshot) buildLocCSRList(rowOf func(*locEntry) []int32) (start, data []int32) {
+func (s *Snapshot) buildLocCSR(rowOf func(*locEntry) []int32) (start, data []int32) {
 	g := s.G
 	nl := len(s.Locs)
 	start = make([]int32, nl+1)
@@ -267,31 +229,18 @@ func (s *Snapshot) buildChildren() {
 	g := s.G
 	type pair struct{ owner, field, child int32 }
 	var pairs []pair
-	if g.legacy {
-		for loc, set := range g.ptChildren {
-			if loc.Alloc == nil {
-				// Statics hold references too, but the reference tree of
-				// Definition 7 is rooted at allocation nodes; static-held
-				// children are not reachable through an owner scan, matching
-				// the map-based Children helper.
-				continue
-			}
-			oi := s.perm[loc.Alloc.id]
-			for c := range set {
-				pairs = append(pairs, pair{oi, int32(loc.Field), s.perm[c.id]})
-			}
+	for i := range g.locEntries {
+		e := &g.locEntries[i]
+		// Statics hold references too, but the reference tree of
+		// Definition 7 is rooted at allocation nodes; static-held children
+		// are not reachable through an owner scan, matching Children.
+		if e.loc.Alloc == nil || e.children.len() == 0 {
+			continue
 		}
-	} else {
-		for i := range g.locEntries {
-			e := &g.locEntries[i]
-			if e.loc.Alloc == nil || e.children.len() == 0 {
-				continue
-			}
-			oi := s.perm[e.loc.Alloc.id]
-			e.children.each(g.all, func(c *Node) {
-				pairs = append(pairs, pair{oi, int32(e.loc.Field), s.perm[c.id]})
-			})
-		}
+		oi := s.perm[e.loc.Alloc.id]
+		e.children.each(g.all, func(c *Node) {
+			pairs = append(pairs, pair{oi, int32(e.loc.Field), s.perm[c.id]})
+		})
 	}
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].owner != pairs[j].owner {

@@ -5,9 +5,9 @@ package depgraph
 // of stopping at the first heap boundary, costs and benefits may be
 // "recomputed by traversing multiple heap-to-heap hops on Gcost backward and
 // forward". A hop boundary is a heap-reading node (backward) or a
-// heap-writing node (forward); with hops = 1 these functions coincide with
-// HRAC/HRAB, and with hops = ∞ they approach AbstractCost / full forward
-// weight.
+// heap-writing node (forward); with hops = 1 these functions are the
+// paper's single-hop HRAC/HRAB (Definitions 5–6), and with hops = ∞ they
+// approach AbstractCost / full forward weight.
 
 // HRACK computes the k-hop relative abstract cost: the frequency sum over
 // backward paths from n that cross at most hops-1 heap-reading nodes.

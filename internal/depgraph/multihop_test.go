@@ -34,18 +34,19 @@ func randGraph(t testing.TB, n int, edges []uint16, effs []uint8) (*Graph, []*No
 	return g, nodes
 }
 
-// Property: HRACK with hops=1 equals HRAC, HRABK with hops=1 equals HRAB.
+// Property: HRACK/HRABK with hops=1 equal the plain single-hop walks of
+// Definitions 5 and 6 (hrac/hrab below).
 func TestMultiHopDegeneratesToSingleHop(t *testing.T) {
 	f := func(edges []uint16, effs []uint8, seed uint8) bool {
 		const n = 10
 		g, nodes := randGraph(t, n, edges, effs)
 		_ = g
 		seedN := nodes[int(seed)%n]
-		if HRACK(seedN, 1) != HRAC(seedN) {
+		if HRACK(seedN, 1) != hrac(seedN) {
 			return false
 		}
 		s1, c1 := HRABK(seedN, 1)
-		s2, c2 := HRAB(seedN)
+		s2, c2 := hrab(seedN)
 		return s1 == s2 && c1 == c2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -130,4 +131,55 @@ func TestMultiHopChainExact(t *testing.T) {
 	if got, _ := HRABK(load1, 2); got != 1+2+4+8+16 {
 		t.Errorf("2-hop benefit = %d, want 31", got)
 	}
+}
+
+// hrac is Definition 5 as a plain walk: the frequency sum over backward
+// paths from n containing no heap reader (readers end the walk uncounted;
+// n itself always counts).
+func hrac(n *Node) int64 {
+	sum := n.Freq()
+	visited := map[*Node]bool{n: true}
+	stack := []*Node{n}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		cur.Deps(func(d *Node) {
+			if visited[d] {
+				return
+			}
+			visited[d] = true
+			if !d.ReadsHeap() {
+				sum += d.Freq()
+				stack = append(stack, d)
+			}
+		})
+	}
+	return sum
+}
+
+// hrab is Definition 6 as a plain walk, the forward dual of hrac: heap
+// writers end it uncounted, consumers end it counted and set consumed.
+func hrab(n *Node) (sum int64, consumed bool) {
+	sum = n.Freq()
+	visited := map[*Node]bool{n: true}
+	stack := []*Node{n}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		cur.Uses(func(u *Node) {
+			if visited[u] {
+				return
+			}
+			visited[u] = true
+			switch {
+			case u.IsConsumer():
+				consumed = true
+				sum += u.Freq()
+			case !u.WritesHeap():
+				sum += u.Freq()
+				stack = append(stack, u)
+			}
+		})
+	}
+	return sum, consumed
 }

@@ -2,9 +2,26 @@ package depgraph
 
 import "testing"
 
+// forwardSCC condenses g over the def→use direction through the frozen
+// snapshot (the form deadness uses) and returns the components, in reverse
+// topological order, as node slices plus each node's component index.
+func forwardSCC(g *Graph) (comps [][]*Node, compOf map[*Node]int) {
+	s := g.Freeze()
+	c := s.Condense(true, nil)
+	comps = make([][]*Node, c.NumComps)
+	compOf = make(map[*Node]int, s.NumNodes())
+	for ci := range comps {
+		for _, v := range c.Members(int32(ci)) {
+			comps[ci] = append(comps[ci], s.Nodes[v])
+			compOf[s.Nodes[v]] = ci
+		}
+	}
+	return comps, compOf
+}
+
 func TestSCCEmptyGraph(t *testing.T) {
 	g := New(mkProg(t, 1))
-	comps, compOf := g.SCC()
+	comps, compOf := forwardSCC(g)
 	if len(comps) != 0 || len(compOf) != 0 {
 		t.Errorf("empty graph: comps=%v compOf=%v", comps, compOf)
 	}
@@ -15,7 +32,7 @@ func TestSCCSelfLoop(t *testing.T) {
 	g := New(prog)
 	a := g.Touch(prog.Instrs[0], 0)
 	g.AddDep(a, a)
-	comps, compOf := g.SCC()
+	comps, compOf := forwardSCC(g)
 	if len(comps) != 1 || len(comps[0]) != 1 || comps[0][0] != a {
 		t.Fatalf("self-loop: comps=%v", comps)
 	}
@@ -42,7 +59,7 @@ func TestSCCInterlockingCycles(t *testing.T) {
 	// One cross edge: c consumes b's value, so b -> c in the uses direction.
 	g.AddDep(c, b)
 
-	comps, compOf := g.SCC()
+	comps, compOf := forwardSCC(g)
 	if len(comps) != 2 {
 		t.Fatalf("comps = %d, want 2", len(comps))
 	}
@@ -76,7 +93,7 @@ func TestSCCSharedNodeCycles(t *testing.T) {
 	for _, e := range edges {
 		g.AddDep(n[e[1]], n[e[0]]) // value edge e[0] -> e[1]
 	}
-	comps, compOf := g.SCC()
+	comps, compOf := forwardSCC(g)
 	if len(comps) != 1 || len(comps[0]) != 5 {
 		t.Fatalf("interlocked cycles must condense to one component: %v", comps)
 	}

@@ -119,38 +119,23 @@ func (g *Graph) Encode(w io.Writer) error {
 		})
 		return out
 	}
-	if g.legacy {
-		locEdges := func(m map[Loc]map[*Node]struct{}) []serialLocEdge {
-			var out []serialLocEdge
-			for loc, set := range m {
-				for n := range set {
-					out = append(out, serialLocEdge{Alloc: nodeIdx(loc.Alloc), Field: loc.Field, Node: idx[n]})
-				}
-			}
-			return sortLocEdges(out)
+	var children, stores, loads []serialLocEdge
+	for i := range g.locEntries {
+		e := &g.locEntries[i]
+		a, f := nodeIdx(e.loc.Alloc), e.loc.Field
+		e.children.each(g.all, func(c *Node) {
+			children = append(children, serialLocEdge{Alloc: a, Field: f, Node: idx[c]})
+		})
+		for _, id := range e.stores {
+			stores = append(stores, serialLocEdge{Alloc: a, Field: f, Node: idx[g.all[id]]})
 		}
-		sg.Children = locEdges(g.ptChildren)
-		sg.LocStores = locEdges(g.locStores)
-		sg.LocLoads = locEdges(g.locLoads)
-	} else {
-		var children, stores, loads []serialLocEdge
-		for i := range g.locEntries {
-			e := &g.locEntries[i]
-			a, f := nodeIdx(e.loc.Alloc), e.loc.Field
-			e.children.each(g.all, func(c *Node) {
-				children = append(children, serialLocEdge{Alloc: a, Field: f, Node: idx[c]})
-			})
-			for _, id := range e.stores {
-				stores = append(stores, serialLocEdge{Alloc: a, Field: f, Node: idx[g.all[id]]})
-			}
-			for _, id := range e.loads {
-				loads = append(loads, serialLocEdge{Alloc: a, Field: f, Node: idx[g.all[id]]})
-			}
+		for _, id := range e.loads {
+			loads = append(loads, serialLocEdge{Alloc: a, Field: f, Node: idx[g.all[id]]})
 		}
-		sg.Children = sortLocEdges(children)
-		sg.LocStores = sortLocEdges(stores)
-		sg.LocLoads = sortLocEdges(loads)
 	}
+	sg.Children = sortLocEdges(children)
+	sg.LocStores = sortLocEdges(stores)
+	sg.LocLoads = sortLocEdges(loads)
 
 	enc := json.NewEncoder(w)
 	return enc.Encode(&sg)

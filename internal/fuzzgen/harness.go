@@ -15,6 +15,8 @@ import (
 	"lowutil/internal/interproc"
 	"lowutil/internal/ir"
 	"lowutil/internal/mjc"
+	"lowutil/internal/oracle"
+	"lowutil/internal/oracle/oraclecheck"
 	"lowutil/internal/profiler"
 	"lowutil/internal/staticanalysis"
 )
@@ -43,9 +45,11 @@ type Invariant struct {
 // Each entry mirrors an invariant the fixed-workload test suites prove:
 //
 //	compiles               the generator's contract: output is well-formed MJ
-//	interp-parity          dense vs legacy dispatch: output/steps/allocs/native
-//	profile-parity         dense vs legacy profiler engine: byte-identical
-//	                       report, saved profile, multi-hop slice, stats
+//	interp-parity          handler-table vs switch dispatch: output/steps/
+//	                       allocs/native
+//	profile-parity         profiler (fast path and facade configuration) vs
+//	                       the definition-level oracle: Gcost, HRAC/HRAB,
+//	                       RAC/RAB, n-RAC/n-RAB, IPD/IPP/NLD
 //	slice-containment-cha  dynamic Gcost ⊆ static slice under CHA
 //	slice-containment-rta  dynamic Gcost ⊆ static slice under RTA+ObjCtx
 //	prune-ranking          static prune preserves the per-site ranking
@@ -190,29 +194,29 @@ func checkInterpParity(c *caseRun) error {
 	if err != nil {
 		return errSkip
 	}
-	run := func(legacy bool) (*interp.Machine, error) {
+	run := func(switchLoop bool) (*interp.Machine, error) {
 		m := interp.New(prog)
-		m.LegacyDispatch = legacy
+		m.LegacyDispatch = switchLoop
 		m.MaxSteps = maxFuzzSteps
 		if err := m.Run(); err != nil {
 			return nil, err
 		}
 		return m, nil
 	}
-	dense, err := run(false)
+	tab, err := run(false)
 	if err != nil {
-		return fmt.Errorf("dense run failed: %v", err)
+		return fmt.Errorf("handler-table run failed: %v", err)
 	}
-	legacy, err := run(true)
+	sw, err := run(true)
 	if err != nil {
-		return fmt.Errorf("legacy run failed: %v", err)
+		return fmt.Errorf("switch run failed: %v", err)
 	}
-	if fmt.Sprint(dense.Output) != fmt.Sprint(legacy.Output) {
-		return fmt.Errorf("output differs: dense %v vs legacy %v", dense.Output, legacy.Output)
+	if fmt.Sprint(tab.Output) != fmt.Sprint(sw.Output) {
+		return fmt.Errorf("output differs: handler-table %v vs switch %v", tab.Output, sw.Output)
 	}
-	if dense.Steps != legacy.Steps || dense.Allocs != legacy.Allocs || dense.NativeWork != legacy.NativeWork {
+	if tab.Steps != sw.Steps || tab.Allocs != sw.Allocs || tab.NativeWork != sw.NativeWork {
 		return fmt.Errorf("counters differ: steps %d/%d allocs %d/%d native %d/%d",
-			dense.Steps, legacy.Steps, dense.Allocs, legacy.Allocs, dense.NativeWork, legacy.NativeWork)
+			tab.Steps, sw.Steps, tab.Allocs, sw.Allocs, tab.NativeWork, sw.NativeWork)
 	}
 	return nil
 }
@@ -224,16 +228,12 @@ type profileBundle struct {
 	report, saved, multihop, stats string
 }
 
-func (c *caseRun) profileWith(legacy bool) (*profileBundle, error) {
+func (c *caseRun) profile() (*profileBundle, error) {
 	fac, err := c.facade()
 	if err != nil {
 		return nil, err
 	}
-	var opts []lowutil.ProfileOption
-	if legacy {
-		opts = append(opts, lowutil.WithLegacyEngine())
-	}
-	profile, err := fac.ProfileContext(context.Background(), opts...)
+	profile, err := fac.ProfileContext(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -253,27 +253,37 @@ func (c *caseRun) profileWith(legacy bool) (*profileBundle, error) {
 	}, nil
 }
 
+// checkProfileParity compares the profiler against the oracle twice: on
+// its inlined fast path (the cached dynamic Gcost) and in the facade's
+// configuration, whose context-conflict tracking forces the slow path.
 func checkProfileParity(c *caseRun) error {
-	if _, err := c.irProg(); err != nil {
+	prog, err := c.irProg()
+	if err != nil {
 		return errSkip
 	}
-	dense, err := c.profileWith(false)
+	want, steps, err := oracle.Profile(prog, 16, maxFuzzSteps)
 	if err != nil {
-		return fmt.Errorf("dense profile failed: %v", err)
+		return fmt.Errorf("oracle run failed: %v", err)
 	}
-	legacy, err := c.profileWith(true)
+	fast, err := c.dynGraph()
 	if err != nil {
-		return fmt.Errorf("legacy profile failed: %v", err)
+		return err
 	}
-	switch {
-	case dense.report != legacy.report:
-		return fmt.Errorf("report differs:\n--- dense ---\n%s--- legacy ---\n%s", dense.report, legacy.report)
-	case dense.saved != legacy.saved:
-		return fmt.Errorf("serialized profile differs (%d vs %d bytes)", len(dense.saved), len(legacy.saved))
-	case dense.multihop != legacy.multihop:
-		return fmt.Errorf("multi-hop slice differs:\n--- dense ---\n%s--- legacy ---\n%s", dense.multihop, legacy.multihop)
-	case dense.stats != legacy.stats:
-		return fmt.Errorf("stats differ: dense %q vs legacy %q", dense.stats, legacy.stats)
+	p := profiler.New(prog, profiler.Options{Slots: 16, TrackCR: true})
+	m := interp.New(prog)
+	m.Tracer = p
+	m.MaxSteps = maxFuzzSteps
+	if err := m.Run(); err != nil {
+		return fmt.Errorf("profiled run failed: %v", err)
+	}
+	if m.Steps != steps {
+		return fmt.Errorf("steps: oracle %d, profiled %d", steps, m.Steps)
+	}
+	if err := oraclecheck.All(want, fast, steps, costben.DefaultTreeHeight); err != nil {
+		return fmt.Errorf("fast path: %v", err)
+	}
+	if err := oraclecheck.All(want, p.G, steps, costben.DefaultTreeHeight); err != nil {
+		return fmt.Errorf("slow path: %v", err)
 	}
 	return nil
 }
@@ -552,11 +562,11 @@ func checkReportStability(c *caseRun) error {
 		return err
 	}
 	ctx := context.Background()
-	a, err := c.profileWith(false)
+	a, err := c.profile()
 	if err != nil {
 		return fmt.Errorf("profile failed: %v", err)
 	}
-	b, err := c.profileWith(false)
+	b, err := c.profile()
 	if err != nil {
 		return fmt.Errorf("profile re-run failed: %v", err)
 	}

@@ -457,7 +457,7 @@ func (q *Queue) runJob(ctx context.Context, j *job) {
 			jctx, cancel = context.WithDeadline(ctx, j.deadline)
 			defer cancel()
 		}
-		res, err = q.cfg.Executor.Execute(jctx, j.spec)
+		res, err = q.execute(jctx, j.spec)
 	}
 	if err == nil {
 		q.storeEvictions.Add(int64(q.store.put(j.hash, res)))
@@ -495,6 +495,18 @@ func (q *Queue) runJob(ctx context.Context, j *job) {
 	}
 	q.failed.Add(1)
 	j.finish(nil, &JobError{Code: code, Message: err.Error(), Retryable: retryable && code != "deadline"}, "")
+}
+
+// execute runs one attempt of spec on the executor. A panic fails the
+// attempt with a non-transient error instead of unwinding the worker —
+// which would kill the process and strand the job in the running state.
+func (q *Queue) execute(ctx context.Context, spec Spec) (res *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("jobs: executor panicked: %v", r)
+		}
+	}()
+	return q.cfg.Executor.Execute(ctx, spec)
 }
 
 // backoff computes attempt k's delay: Base·2^(k-1) capped at MaxBackoff,

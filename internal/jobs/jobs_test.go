@@ -541,3 +541,49 @@ func TestConcurrentResume(t *testing.T) {
 		t.Fatal("Drain hung: leaked dispatchers from a double Resume")
 	}
 }
+
+// TestExecutorPanicFailsAttempt: a panicking executor fails that job with
+// an internal error; the worker survives, the other jobs of the batch and
+// of later batches complete, and the accounting balances.
+func TestExecutorPanicFailsAttempt(t *testing.T) {
+	exec := &countExec{fail: func(spec Spec, _ int64) error {
+		if spec.Source == "boom" {
+			panic("injected executor panic")
+		}
+		return nil
+	}}
+	q := New(Config{Executor: exec, Shards: 1, Workers: 1})
+	defer q.Drain()
+
+	var ids []string
+	for i, srcs := range [][]string{{"a", "boom", "b"}, {"c", "boom2"}} {
+		var reqs []Request
+		for _, s := range srcs {
+			reqs = append(reqs, Request{Spec: testSpec(s)})
+		}
+		_, subs, err := q.Submit(fmt.Sprintf("batch-%d", i), reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range subs {
+			ids = append(ids, s.ID)
+		}
+	}
+	for i, id := range ids {
+		st := waitTerminal(t, q, id)
+		if i == 1 {
+			if st.State != StateFailed || st.Err == nil || st.Err.Code != "internal" ||
+				!strings.Contains(st.Err.Message, "injected executor panic") || st.Err.Retryable {
+				t.Fatalf("panicking job: state=%s err=%+v, want a non-retryable internal failure", st.State, st.Err)
+			}
+			continue
+		}
+		if st.State != StateDone {
+			t.Fatalf("job %d: state=%s err=%+v, want done", i, st.State, st.Err)
+		}
+	}
+	st := q.Stats()
+	if st.Completed != 4 || st.Failed != 1 || st.Submitted != 5 || st.Running != 0 || st.Queued != 0 {
+		t.Fatalf("accounting: %+v, want 4 completed, 1 failed, 5 submitted, none queued or running", st)
+	}
+}

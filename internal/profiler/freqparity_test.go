@@ -3,9 +3,10 @@ package profiler_test
 import (
 	"testing"
 
-	"lowutil/internal/depgraph"
 	"lowutil/internal/interp"
 	"lowutil/internal/mjc"
+	"lowutil/internal/oracle"
+	"lowutil/internal/oracle/oraclecheck"
 	"lowutil/internal/profiler"
 )
 
@@ -101,43 +102,27 @@ class Main {
 }
 `
 
-// freqMap flattens a graph to node-identity -> frequency.
-func freqMap(g *depgraph.Graph) map[string]int64 {
-	m := make(map[string]int64)
-	g.Nodes(func(n *depgraph.Node) {
-		m[n.String()] = n.Freq()
-	})
-	return m
-}
-
 // TestDenseFreqMatchesLegacyGraph pins node-frequency parity between the
-// dense fast path and the map-backed legacy graph, which interns through the
-// slow path on every event and therefore cannot lose increments to a stale
-// table view.
+// profiler's inlined fast path and the oracle, which counts every event with
+// a plain map increment and therefore cannot lose increments to a stale
+// table view. (The name predates the oracle, which replaced a map-backed
+// graph representation as the reference.)
 func TestDenseFreqMatchesLegacyGraph(t *testing.T) {
 	prog, err := mjc.Compile(freqParitySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile := func(legacy bool) *depgraph.Graph {
-		p := profiler.New(prog, profiler.Options{Slots: 16, LegacyGraph: legacy})
-		m := interp.New(prog)
-		m.Tracer = p
-		if err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return p.G
+	p := profiler.New(prog, profiler.Options{Slots: 16})
+	m := interp.New(prog)
+	m.Tracer = p
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
 	}
-	dense := freqMap(profile(false))
-	legacy := freqMap(profile(true))
-	if len(dense) != len(legacy) {
-		t.Fatalf("node count: dense %d, legacy %d", len(dense), len(legacy))
+	want, _, err := oracle.Profile(prog, 16, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k, lf := range legacy {
-		if df, ok := dense[k]; !ok {
-			t.Errorf("node %s missing from dense graph", k)
-		} else if df != lf {
-			t.Errorf("node %s: dense freq %d, legacy freq %d", k, df, lf)
-		}
+	if err := oraclecheck.Graph(want, p.G); err != nil {
+		t.Fatal(err)
 	}
 }

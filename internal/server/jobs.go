@@ -159,7 +159,7 @@ func specProfileParams(spec jobs.Spec) profileParams {
 	return profileParams{
 		Slots: spec.Slots, TreeHeight: spec.TreeHeight,
 		Traditional: spec.Traditional, TrackControl: spec.TrackControl,
-		Prune: spec.Prune, Legacy: spec.Legacy,
+		Prune: spec.Prune,
 	}
 }
 

@@ -279,7 +279,6 @@ type profileParams struct {
 	Traditional  bool `json:"traditional,omitempty"`
 	TrackControl bool `json:"track_control,omitempty"`
 	Prune        bool `json:"prune,omitempty"`
-	Legacy       bool `json:"legacy,omitempty"`
 }
 
 func (p profileParams) key() profileKey {
@@ -289,7 +288,6 @@ func (p profileParams) key() profileKey {
 		Traditional:  p.Traditional,
 		TrackControl: p.TrackControl,
 		Prune:        p.Prune,
-		Legacy:       p.Legacy,
 	}
 	if k.Slots <= 0 {
 		k.Slots = lowutil.DefaultSlots

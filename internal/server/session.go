@@ -40,7 +40,6 @@ type profileKey struct {
 	Traditional  bool
 	TrackControl bool
 	Prune        bool
-	Legacy       bool
 }
 
 // options expands the key into facade options.
@@ -58,15 +57,13 @@ func (k profileKey) options() []lowutil.ProfileOption {
 	if k.Prune {
 		opts = append(opts, lowutil.WithPrune())
 	}
-	if k.Legacy {
-		opts = append(opts, lowutil.WithLegacy())
-	}
 	return opts
 }
 
 // profileEntry latches one profiling run. done closes when prof/err are
 // final; mu serializes analysis queries over the shared Profile (the
-// legacy analysis path memoizes into unsynchronized maps, and serializing
+// facade does not promise a Profile is safe for concurrent use — its graph
+// caches the frozen snapshot lazily, without a lock — and serializing
 // report rendering is cheap next to the profiling run itself).
 type profileEntry struct {
 	done chan struct{}
@@ -143,15 +140,14 @@ func (s *Session) profile(ctx context.Context, key profileKey) (*profileEntry, b
 		s.mu.Unlock()
 
 		if !hit {
-			e.prof, e.err = s.Prog.ProfileContext(ctx, key.options()...)
-			if e.err != nil && errors.Is(e.err, lowutil.ErrCanceled) {
-				s.mu.Lock()
+			s.fill(e.done, &e.err, func() {
 				if s.profiles[key] == e {
 					delete(s.profiles, key)
 				}
-				s.mu.Unlock()
-			}
-			close(e.done)
+			}, func() (err error) {
+				e.prof, err = s.Prog.ProfileContext(ctx, key.options()...)
+				return err
+			})
 			return e, false, e.err
 		}
 
@@ -164,6 +160,30 @@ func (s *Session) profile(ctx context.Context, key profileKey) (*profileEntry, b
 		case <-ctx.Done():
 			return nil, true, fmt.Errorf("%w: %w", lowutil.ErrCanceled, ctx.Err())
 		}
+	}
+}
+
+// fill computes a latch entry the caller just created: it stores fn's
+// error in *errp and closes done however fn ends. A canceled run is evicted
+// (under s.mu) so the next request retries. A panic is recovered into the
+// entry's error and evicted too, so it fails this request and its current
+// waiters promptly instead of leaving every later request on the key
+// waiting on a latch that never closes.
+func (s *Session) fill(done chan struct{}, errp *error, evict func(), fn func() error) {
+	defer close(done)
+	defer func() {
+		if r := recover(); r != nil {
+			*errp = fmt.Errorf("lowutil: internal error: %v", r)
+			s.mu.Lock()
+			evict()
+			s.mu.Unlock()
+		}
+	}()
+	*errp = fn()
+	if *errp != nil && errors.Is(*errp, lowutil.ErrCanceled) {
+		s.mu.Lock()
+		evict()
+		s.mu.Unlock()
 	}
 }
 
@@ -186,15 +206,14 @@ func (s *Session) audit(ctx context.Context, key auditKey) (*auditEntry, bool, e
 		s.mu.Unlock()
 
 		if !hit {
-			e.report, e.err = s.Prog.StaticAudit(ctx, key.options()...)
-			if e.err != nil && errors.Is(e.err, lowutil.ErrCanceled) {
-				s.mu.Lock()
+			s.fill(e.done, &e.err, func() {
 				if s.audits[key] == e {
 					delete(s.audits, key)
 				}
-				s.mu.Unlock()
-			}
-			close(e.done)
+			}, func() (err error) {
+				e.report, err = s.Prog.StaticAudit(ctx, key.options()...)
+				return err
+			})
 			return e, false, e.err
 		}
 

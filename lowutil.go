@@ -327,21 +327,11 @@ type ProfileOptions struct {
 	// it is ignored when Traditional is set. Rankings are unchanged; the
 	// trace just gets cheaper.
 	StaticPrune bool
-	// LegacyAnalysis selects the per-query traversal path of the
-	// cost-benefit analysis instead of the frozen-snapshot DP. The results
-	// are identical; this exists for comparison and as an escape hatch.
-	LegacyAnalysis bool
 	// AnalysisWorkers bounds the ranking worker pool (0 = all CPUs).
 	AnalysisWorkers int
 	// MaxSteps bounds the profiled execution to this many instruction
 	// instances (0 = unlimited); exceeding it fails the run.
 	MaxSteps int64
-	// LegacyEngine runs the profiled execution on the reference engine: the
-	// interpreter's switch dispatch and the map-backed Gcost representation,
-	// instead of the handler-table interpreter over the dense interned graph.
-	// Results are identical (the differential tests pin profile, report, and
-	// slice bytes); this exists for comparison and as an escape hatch.
-	LegacyEngine bool
 }
 
 // Profile runs the program under the cost-benefit profiler.
@@ -371,10 +361,8 @@ func (p *Program) profile(ctx context.Context, opts ProfileOptions) (*Profile, e
 		Traditional:  opts.Traditional,
 		TrackControl: opts.TrackControl,
 		TrackCR:      true,
-		LegacyGraph:  opts.LegacyEngine,
 	})
 	m := interp.New(p.prog)
-	m.LegacyDispatch = opts.LegacyEngine
 	m.Tracer = prof
 	m.Ctx = ctx
 	m.MaxSteps = opts.MaxSteps
@@ -397,7 +385,7 @@ func (p *Program) profile(ctx context.Context, opts ProfileOptions) (*Profile, e
 		prof:   prof,
 		steps:  m.Steps,
 		pruned: m.PrunedEvents,
-		an:     costben.NewAnalysisWith(prof.G, costben.Config{Legacy: opts.LegacyAnalysis, Workers: opts.AnalysisWorkers}),
+		an:     costben.NewAnalysisWith(prof.G, costben.Config{Workers: opts.AnalysisWorkers}),
 		height: height,
 	}, nil
 }

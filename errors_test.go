@@ -3,7 +3,6 @@ package lowutil
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -158,64 +157,22 @@ class Main {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := prog.StaticSlice(SliceOptions{Mode: "rta", Top: 5})
+	// The defaults fold first, so spelling them out changes nothing.
+	def, err := prog.StaticSliceContext(context.Background(), WithTop(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1 != v2 {
-		t.Error("v1 and v2 static slice reports differ")
+	if def != v2 {
+		t.Error("explicit mode rta and the default mode give different reports")
+	}
+	if _, err := prog.StaticSliceContext(context.Background(), WithMode("bogus")); err == nil ||
+		err.Error() != `lowutil: unknown call-graph mode "bogus" (want cha or rta)` {
+		t.Errorf("unknown mode: got %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := prog.StaticSliceContext(ctx); !errors.Is(err, ErrCanceled) {
 		t.Errorf("canceled slice: want ErrCanceled, got %v", err)
-	}
-}
-
-// TestDeprecatedShims pins the context-free wrappers (Run, Profile, and the
-// audit-specific With* options) to their replacements: identical results,
-// so external callers on the v1 surface see no behavior change.
-func TestDeprecatedShims(t *testing.T) {
-	prog, err := Compile(quickSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	v1run, err := prog.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2run, err := prog.RunContext(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(v1run) != fmt.Sprint(v2run) {
-		t.Errorf("Run shim diverges: %+v vs %+v", v1run, v2run)
-	}
-
-	v1prof, err := prog.Profile(ProfileOptions{Slots: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2prof, err := prog.ProfileContext(ctx, WithSlots(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1prof.Report(5) != v2prof.Report(5) {
-		t.Error("Profile shim report diverges from ProfileContext")
-	}
-
-	v1audit, err := prog.StaticAudit(ctx, WithAuditMode("cha"), WithAuditObjCtx(), WithAuditTop(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2audit, err := prog.StaticAudit(ctx, WithMode("cha"), WithObjCtx(), WithTop(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1audit != v2audit {
-		t.Error("audit-specific option shims diverge from the shared options")
 	}
 }
 

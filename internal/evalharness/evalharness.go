@@ -209,13 +209,14 @@ func Format(rows []*Row, out io.Writer) {
 
 // ---- Phase-restricted tracking (§4.1 overhead discussion) ----
 
-// phaseGate wraps the profiler and enables it only for a fraction of the
-// run, approximating "tracking only the steady-state portion of a server's
-// run" with an instruction-count window.
+// phaseGate wraps the profiler and forwards events to it only for a
+// fraction of the run, approximating "tracking only the steady-state
+// portion of a server's run" with an instruction-count window.
 type phaseGate struct {
 	*profiler.Profiler
-	n      int64
-	lo, hi int64
+	n         int64 // events seen
+	forwarded int64 // events passed on to the profiler
+	lo, hi    int64
 }
 
 // Exec implements interp.Tracer.
@@ -227,7 +228,10 @@ func (g *phaseGate) Exec(ev *interp.Event) {
 	if g.n == g.hi {
 		g.Profiler.SetEnabled(false)
 	}
-	g.Profiler.Exec(ev)
+	if g.n >= g.lo && g.n < g.hi {
+		g.forwarded++
+		g.Profiler.Exec(ev)
+	}
 }
 
 // PhaseResult reports the phase-restriction experiment for one workload.
@@ -239,10 +243,20 @@ type PhaseResult struct {
 	Reduction  float64
 	FullNodes  int
 	PhaseNodes int
+	// FullEvents counts the Exec events the whole-program profiler
+	// receives (every one of the run); PhaseEvents those the phase gate
+	// forwards. Both are deterministic.
+	FullEvents, PhaseEvents int64
 }
+
+// phaseRounds is how many times PhaseExperiment times each configuration.
+const phaseRounds = 7
 
 // PhaseExperiment profiles the workload twice — whole-program and restricted
 // to the middle fraction of the run — and reports the overhead reduction.
+// Baseline, full and phased runs alternate round by round and each keeps
+// its minimum over phaseRounds, so a slow stretch of a noisy machine slows
+// all three alike instead of inflating whichever ran during it.
 func PhaseExperiment(name string, scale int, fraction float64) (*PhaseResult, error) {
 	w := workloads.ByName(name)
 	if w == nil {
@@ -253,61 +267,51 @@ func PhaseExperiment(name string, scale int, fraction float64) (*PhaseResult, er
 		return nil, err
 	}
 
-	var base time.Duration
-	var steps int64
-	for i := 0; i < 3; i++ {
+	m := interp.New(prog)
+	if err := m.Run(); err != nil {
+		return nil, err
+	}
+	steps := m.Steps
+	window := int64(float64(steps) * fraction)
+	lo := (steps - window) / 2
+
+	timed := func(tracer interp.Tracer) (time.Duration, error) {
 		m := interp.New(prog)
+		m.Tracer = tracer
 		start := time.Now()
-		if err := m.Run(); err != nil {
+		err := m.Run()
+		return time.Since(start), err
+	}
+	var base, fullTime, gatedTime time.Duration
+	var full *profiler.Profiler
+	var gate *phaseGate
+	for i := 0; i < phaseRounds; i++ {
+		d, err := timed(nil)
+		if err != nil {
 			return nil, err
 		}
-		if d := time.Since(start); i == 0 || d < base {
+		if i == 0 || d < base {
 			base = d
 		}
-		steps = m.Steps
+		full = profiler.New(prog, profiler.Options{Slots: 16})
+		if d, err = timed(full); err != nil {
+			return nil, err
+		}
+		if i == 0 || d < fullTime {
+			fullTime = d
+		}
+		p := profiler.New(prog, profiler.Options{Slots: 16})
+		p.SetEnabled(false)
+		gate = &phaseGate{Profiler: p, lo: lo, hi: lo + window}
+		if d, err = timed(gate); err != nil {
+			return nil, err
+		}
+		if i == 0 || d < gatedTime {
+			gatedTime = d
+		}
 	}
 	if base <= 0 {
 		base = time.Nanosecond
-	}
-
-	// Best-of-3, like the baseline above: a single scheduler hiccup on
-	// either run would otherwise swamp the overhead ratio.
-	runProfiled := func(mk func() (interp.Tracer, *profiler.Profiler)) (time.Duration, *profiler.Profiler, error) {
-		var best time.Duration
-		var p *profiler.Profiler
-		for i := 0; i < 3; i++ {
-			tracer, prof := mk()
-			m := interp.New(prog)
-			m.Tracer = tracer
-			start := time.Now()
-			if err := m.Run(); err != nil {
-				return 0, nil, err
-			}
-			if d := time.Since(start); i == 0 || d < best {
-				best = d
-			}
-			p = prof
-		}
-		return best, p, nil
-	}
-
-	fullTime, full, err := runProfiled(func() (interp.Tracer, *profiler.Profiler) {
-		p := profiler.New(prog, profiler.Options{Slots: 16})
-		return p, p
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	window := int64(float64(steps) * fraction)
-	lo := (steps - window) / 2
-	gatedTime, gatedP, err := runProfiled(func() (interp.Tracer, *profiler.Profiler) {
-		p := profiler.New(prog, profiler.Options{Slots: 16})
-		p.SetEnabled(false)
-		return &phaseGate{Profiler: p, lo: lo, hi: lo + window}, p
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	res := &PhaseResult{
@@ -315,7 +319,9 @@ func PhaseExperiment(name string, scale int, fraction float64) (*PhaseResult, er
 		FullOverhead:  float64(fullTime) / float64(base),
 		PhaseOverhead: float64(gatedTime) / float64(base),
 		FullNodes:     full.G.NumNodes(),
-		PhaseNodes:    gatedP.G.NumNodes(),
+		PhaseNodes:    gate.G.NumNodes(),
+		FullEvents:    gate.n,
+		PhaseEvents:   gate.forwarded,
 	}
 	if res.PhaseOverhead > 0 {
 		res.Reduction = res.FullOverhead / res.PhaseOverhead

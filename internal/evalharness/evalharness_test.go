@@ -116,6 +116,10 @@ func TestPhaseExperimentReducesOverhead(t *testing.T) {
 	if res.PhaseNodes == 0 {
 		t.Error("phase graph empty: the window never enabled tracking")
 	}
+	if res.PhaseEvents <= 0 || res.PhaseEvents >= res.FullEvents {
+		t.Errorf("phase gate forwarded %d of %d events, want a nonempty strict subset",
+			res.PhaseEvents, res.FullEvents)
+	}
 }
 
 func TestThinVsTraditionalAblation(t *testing.T) {

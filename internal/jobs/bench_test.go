@@ -39,7 +39,7 @@ func BenchmarkJobThroughput(b *testing.B) {
 		q := New(Config{Executor: profileExec, Shards: 4, Workers: 4})
 		reqs := make([]Request, len(all))
 		for k, w := range all {
-			reqs[k] = Request{Spec: Spec{Kind: KindProfile, Source: w.Source(1), Slots: lowutil.DefaultSlots}}
+			reqs[k] = Request{Spec: Spec{Kind: KindProfile, Source: w.Source(1), ProfileOptions: lowutil.ProfileOptions{Slots: lowutil.DefaultSlots}}}
 		}
 		_, subs, err := q.Submit(fmt.Sprintf("bench-%d", i), reqs)
 		if err != nil {

@@ -294,11 +294,10 @@ type Submitted struct {
 // key. Resubmitting the same key with the same requests returns the
 // original batch ID and job IDs with Duplicate set and enqueues nothing —
 // the contract that makes client retries of POST /v2/jobs safe. Reusing a
-// key with different contents fails with ErrBatchConflict.
+// key with different contents fails with ErrBatchConflict. An empty key
+// is derived from the batch content, so a blind retry of a keyless batch
+// still deduplicates.
 func (q *Queue) Submit(key string, reqs []Request) (string, []Submitted, error) {
-	if key == "" {
-		return "", nil, errors.New("jobs: empty idempotency key")
-	}
 	if len(reqs) == 0 {
 		return "", nil, errors.New("jobs: empty batch")
 	}
@@ -306,6 +305,9 @@ func (q *Queue) Submit(key string, reqs []Request) (string, []Submitted, error) 
 		if err := r.Spec.Validate(); err != nil {
 			return "", nil, fmt.Errorf("job %d: %w", i, err)
 		}
+	}
+	if key == "" {
+		key = contentKey(reqs)
 	}
 	sig := batchSig(key, reqs)
 	batchID := "b" + sig[:23]
@@ -404,6 +406,16 @@ func jobID(key string, index int, spec Spec) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\x00%d\x00%s", key, index, spec.Hash())
 	return "j" + hex.EncodeToString(h.Sum(nil))[:23]
+}
+
+// contentKey derives the idempotency key of a keyless batch from its
+// content.
+func contentKey(reqs []Request) string {
+	h := sha256.New()
+	for _, r := range reqs {
+		fmt.Fprintf(h, "%s\x00%d\x00%d\x00", r.Spec.Hash(), r.Priority, r.Deadline)
+	}
+	return "content-" + hex.EncodeToString(h.Sum(nil))[:32]
 }
 
 func batchSig(key string, reqs []Request) string {

@@ -131,6 +131,23 @@ func TestIdempotentSubmit(t *testing.T) {
 	if _, _, err := q.Submit("key", []Request{{Spec: testSpec("z")}}); !errors.Is(err, ErrBatchConflict) {
 		t.Errorf("conflicting reuse: got %v, want ErrBatchConflict", err)
 	}
+
+	// A keyless batch derives its key from its content: a blind retry
+	// deduplicates, a different batch does not.
+	k1, _, err := q.Submit("", []Request{{Spec: testSpec("k")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2, subs, err := q.Submit("", []Request{{Spec: testSpec("k")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k1 != k2 || !subs[0].Duplicate {
+		t.Errorf("keyless resubmission: batch %s then %s (duplicate %v), want the same batch", k1, k2, subs[0].Duplicate)
+	}
+	if k3, _, err := q.Submit("", []Request{{Spec: testSpec("other")}}); err != nil || k3 == k1 {
+		t.Errorf("distinct keyless batch: batch %s, err %v; want a new batch", k3, err)
+	}
 }
 
 // TestRetryBackoff: transient failures are retried with backoff until

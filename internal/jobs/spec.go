@@ -3,8 +3,11 @@ package jobs
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"time"
+
+	"lowutil"
 )
 
 // Kinds of work a job can carry. Each kind maps onto one synchronous
@@ -20,8 +23,9 @@ const (
 )
 
 // Spec is one unit of batch work: a program plus the configuration of the
-// analysis to run over it. The zero value of every optional field means
-// the facade default, exactly as in the synchronous endpoints.
+// analysis to run over it. The options are the facade's own structs, so
+// the job wire, the synchronous wire and the facade share one vocabulary;
+// the zero value of every option means the facade default.
 type Spec struct {
 	Kind       string `json:"kind"`
 	Source     string `json:"source"`
@@ -29,18 +33,10 @@ type Spec struct {
 	MainMethod string `json:"main_method,omitempty"`
 
 	// Profiling configuration (kinds profile and report).
-	Slots        int  `json:"slots,omitempty"`
-	TreeHeight   int  `json:"tree_height,omitempty"`
-	Traditional  bool `json:"traditional,omitempty"`
-	TrackControl bool `json:"track_control,omitempty"`
-	Prune        bool `json:"prune,omitempty"`
-
-	// Static-analysis configuration (kinds slice and audit).
-	Mode   string `json:"mode,omitempty"`
-	ObjCtx bool   `json:"objctx,omitempty"`
-
-	// Top bounds ranked lists in rendered results (0 = the default).
-	Top int `json:"top,omitempty"`
+	lowutil.ProfileOptions
+	// Static-analysis configuration (kinds slice and audit); Top also
+	// bounds the ranked lists of profile and report.
+	lowutil.AnalysisOptions
 }
 
 // Validate rejects specs the executor could never run.
@@ -56,17 +52,16 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Hash is the canonical content address of the spec. Two specs with equal
-// hashes request identical work, so they share one entry in the result
-// store. Every semantically meaningful field participates; encoding is
-// length-prefix-free via NUL separators (no field may contain NUL — MJ
-// source never does).
+// Hash is the content address of the spec: the SHA-256 of its JSON
+// encoding, so every wire-visible field participates and no other does.
+// Two specs with equal hashes request identical work and share one entry
+// in the result store; callers that want equivalent requests to share it
+// too submit specs in one canonical form.
 func (s Spec) Hash() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%d\x00%d\x00%t\x00%t\x00%t\x00%s\x00%t\x00%d",
-		s.Kind, s.Source, s.MainClass, s.MainMethod,
-		s.Slots, s.TreeHeight, s.Traditional, s.TrackControl, s.Prune,
-		s.Mode, s.ObjCtx, s.Top)
+	// Encoding cannot fail: a Spec holds only strings, ints and bools, and
+	// hash writes never return an error.
+	_ = json.NewEncoder(h).Encode(s)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"lowutil"
 	"lowutil/internal/jobs"
 )
 
@@ -22,152 +19,30 @@ import (
 
 var errUnknownJob = errors.New("unknown job or batch")
 
-// executeSpec runs one job spec to completion. Each kind produces exactly
-// the JSON body its synchronous endpoint would have returned on a cold
-// cache, so a batch of jobs and a sequence of direct calls are
+// executeSpec is the job queue's executor: the spec (canonical since
+// submission) compiles or reuses its program like /v2/compile, then runs
+// through execute, the executor the synchronous endpoints share — so a
+// batch of jobs and a sequence of direct calls on a cold cache are
 // byte-identical. cache_hit is never set in job payloads: results are
 // content-addressed, and whether a run was memoized is scheduling noise
 // that would break deterministic replay.
 func (s *Server) executeSpec(ctx context.Context, spec jobs.Spec) (*jobs.Result, error) {
-	sess, _, err := s.sessionForSpec(spec)
+	sess, reused, err := s.compile(spec)
 	if err != nil {
 		return nil, err
 	}
-	var payload any
-	switch spec.Kind {
-	case jobs.KindCompile:
-		payload = compileResponse{Session: sess.ID, Instructions: sess.Prog.NumInstructions()}
-
-	case jobs.KindRun:
-		res, err := sess.Prog.RunContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		out := res.Output
-		if out == nil {
-			out = []int64{}
-		}
-		payload = runResponse{
-			Session: sess.ID, Output: out,
-			Steps: res.Steps, Allocs: res.Allocs, NativeWork: res.NativeWork,
-		}
-
-	case jobs.KindProfile:
-		e, _, err := s.cachedProfile(ctx, sess, specProfileParams(spec))
-		if err != nil {
-			return nil, err
-		}
-		resp := profileResponse{Session: sess.ID, Top: []findingJSON{}}
-		e.use(func(pr *lowutil.Profile) error {
-			resp.Steps = pr.Steps()
-			resp.Pruned = pr.PrunedEvents()
-			for _, f := range pr.TopStructures(topOrDefault(spec.Top)) {
-				resp.Top = append(resp.Top, findingJSON{
-					Site: f.Site, Where: f.Where, Cost: f.Cost, Benefit: f.Benefit,
-					Rate: f.Rate, ReachesConsumer: f.ReachesConsumer, Allocs: f.Allocs,
-				})
-			}
-			return nil
-		})
-		payload = resp
-
-	case jobs.KindReport:
-		e, _, err := s.cachedProfile(ctx, sess, specProfileParams(spec))
-		if err != nil {
-			return nil, err
-		}
-		resp := reportResponse{Session: sess.ID}
-		e.use(func(pr *lowutil.Profile) error {
-			resp.Report = pr.Report(topOrDefault(spec.Top))
-			return nil
-		})
-		payload = resp
-
-	case jobs.KindSlice:
-		opts := []lowutil.SliceOption{lowutil.WithTop(spec.Top)}
-		if spec.Mode != "" {
-			opts = append(opts, lowutil.WithMode(spec.Mode))
-		}
-		if spec.ObjCtx {
-			opts = append(opts, lowutil.WithObjCtx())
-		}
-		rep, err := sess.Prog.StaticSliceContext(ctx, opts...)
-		if err != nil {
-			return nil, err
-		}
-		payload = reportResponse{Session: sess.ID, Report: rep}
-
-	case jobs.KindAudit:
-		e, hit, err := sess.audit(ctx, auditKey{Mode: spec.Mode, ObjCtx: spec.ObjCtx, Top: topOrDefault(spec.Top)})
-		if hit {
-			s.met.auditHits.Add(1)
-		} else {
-			s.met.auditMisses.Add(1)
-		}
-		if err != nil {
-			return nil, err
-		}
-		payload = reportResponse{Session: sess.ID, Report: e.report}
-
-	default:
-		return nil, &badRequestError{fmt.Errorf("unknown job kind %q", spec.Kind)}
+	body, _, err := s.execute(ctx, sess, reused, spec)
+	if err != nil {
+		return nil, err
 	}
-
 	// Compact encoding: identical to the synchronous body modulo JSON
 	// framing (the synchronous path streams via Encoder, which appends a
 	// newline that re-marshaling a RawMessage would strip anyway).
-	raw, err := json.Marshal(payload)
+	raw, err := json.Marshal(body)
 	if err != nil {
 		return nil, err
 	}
 	return &jobs.Result{Kind: spec.Kind, Payload: raw}, nil
-}
-
-// sessionForSpec resolves (compiling on demand) the session for a spec's
-// program through the server's session LRU — batch jobs and synchronous
-// requests share one compiled-program cache.
-func (s *Server) sessionForSpec(spec jobs.Spec) (*Session, bool, error) {
-	mc, mm := spec.MainClass, spec.MainMethod
-	if mc == "" {
-		mc = "Main"
-	}
-	if mm == "" {
-		mm = "main"
-	}
-	id := sessionKey(spec.Source, mc, mm)
-	if sess, ok := s.sessions.get(id); ok {
-		s.met.sessionHits.Add(1)
-		return sess, true, nil
-	}
-	prog, err := lowutil.CompileAt(spec.Source, mc, mm)
-	if err != nil {
-		return nil, false, err
-	}
-	sess, inserted, evicted := s.sessions.add(&Session{ID: id, Created: time.Now(), Prog: prog})
-	if inserted {
-		s.met.sessionsCreated.Add(1)
-	} else {
-		s.met.sessionHits.Add(1)
-	}
-	s.met.sessionEvictions.Add(int64(evicted))
-	return sess, !inserted, nil
-}
-
-// specProfileParams maps a job spec's profiling fields onto the memoized
-// run key shared with the synchronous endpoints.
-func specProfileParams(spec jobs.Spec) profileParams {
-	return profileParams{
-		Slots: spec.Slots, TreeHeight: spec.TreeHeight,
-		Traditional: spec.Traditional, TrackControl: spec.TrackControl,
-		Prune: spec.Prune,
-	}
-}
-
-func topOrDefault(top int) int {
-	if top <= 0 {
-		return lowutil.DefaultTop
-	}
-	return top
 }
 
 // ---- job endpoints ----
@@ -211,16 +86,12 @@ func (s *Server) handleJobsSubmit(ctx context.Context, r *http.Request) (any, er
 	reqs := make([]jobs.Request, len(req.Jobs))
 	for i, j := range req.Jobs {
 		reqs[i] = jobs.Request{
-			Spec:     j.Spec,
+			Spec:     canonical(j.Spec),
 			Priority: j.Priority,
 			Deadline: time.Duration(j.DeadlineMS) * time.Millisecond,
 		}
 	}
-	key := req.Key
-	if key == "" {
-		key = contentKey(reqs)
-	}
-	batch, subs, err := s.jobs.Submit(key, reqs)
+	batch, subs, err := s.jobs.Submit(req.Key, reqs)
 	if err != nil {
 		switch {
 		case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrBatchConflict):
@@ -230,16 +101,6 @@ func (s *Server) handleJobsSubmit(ctx context.Context, r *http.Request) (any, er
 		}
 	}
 	return jobsResponse{Batch: batch, Jobs: subs}, nil
-}
-
-// contentKey derives an idempotency key for keyless submissions from the
-// batch content, so a blind retry of the same batch still deduplicates.
-func contentKey(reqs []jobs.Request) string {
-	h := sha256.New()
-	for _, r := range reqs {
-		fmt.Fprintf(h, "%s\x00%d\x00%d\x00", r.Spec.Hash(), r.Priority, r.Deadline)
-	}
-	return "content-" + hex.EncodeToString(h.Sum(nil))[:32]
 }
 
 // handleJobStatus serves GET /v2/jobs/{id} for both job IDs ("j…") and

@@ -68,7 +68,7 @@ func TestJobsBatchMatchesSynchronous(t *testing.T) {
 		Key: "batch-sync-diff",
 		Jobs: []jobSubmission{
 			{Spec: jobs.Spec{Kind: jobs.KindProfile, Source: workSrc}},
-			{Spec: jobs.Spec{Kind: jobs.KindReport, Source: workSrc, Top: 5}},
+			{Spec: jobs.Spec{Kind: jobs.KindReport, Source: workSrc, AnalysisOptions: lowutil.AnalysisOptions{Top: 5}}},
 		},
 	})
 	if code != http.StatusOK {
@@ -92,10 +92,10 @@ func TestJobsBatchMatchesSynchronous(t *testing.T) {
 	// memoized run: identical bytes.
 	_, ts2 := newTestServer(t, Config{})
 	id := compileSession(t, ts2.URL, workSrc)
-	_, syncProfile := postJSON(t, ts2.URL+"/v2/profile", profileRequest{Session: id})
+	_, syncProfile := postJSON(t, ts2.URL+"/v2/profile", request{Session: id})
 	_, ts3 := newTestServer(t, Config{})
 	id3 := compileSession(t, ts3.URL, workSrc)
-	_, syncReport := postJSON(t, ts3.URL+"/v2/report", profileRequest{Session: id3, Top: 5})
+	_, syncReport := postJSON(t, ts3.URL+"/v2/report", map[string]any{"session": id3, "top": 5})
 	if got, want := compact(t, bs.Jobs[0].Result.Payload), compact(t, syncProfile); got != want {
 		t.Errorf("async profile diverges from synchronous:\n%s\nvs\n%s", got, want)
 	}

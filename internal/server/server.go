@@ -80,14 +80,13 @@ func New(cfg Config) *Server {
 func (s *Server) Close() { s.jobs.Drain() }
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("POST /v2/compile", s.instrument("compile", false, s.handleCompile))
-	s.mux.HandleFunc("POST /v2/profile", s.instrument("profile", true, s.handleProfile))
-	s.mux.HandleFunc("POST /v2/report", s.instrument("report", true, s.handleReport))
-	s.mux.HandleFunc("POST /v2/slice", s.instrument("slice", true, s.handleSlice))
-	s.mux.HandleFunc("POST /v2/audit", s.instrument("audit", true, s.handleAudit))
+	// Every job kind is also a synchronous endpoint of the same name; all
+	// but compile are heavy.
+	for _, kind := range []string{jobs.KindCompile, jobs.KindRun, jobs.KindProfile, jobs.KindReport, jobs.KindSlice, jobs.KindAudit} {
+		s.mux.HandleFunc("POST /v2/"+kind, s.instrument(kind, kind != jobs.KindCompile, s.handle(kind)))
+	}
 	s.mux.HandleFunc("POST /v2/vet", s.instrument("vet", false, s.handleVet))
 	s.mux.HandleFunc("POST /v2/ssa", s.instrument("ssa", false, s.handleSSA))
-	s.mux.HandleFunc("POST /v2/run", s.instrument("run", true, s.handleRun))
 	s.mux.HandleFunc("POST /v2/profile/save", s.instrument("save", true, s.handleSave))
 	s.mux.HandleFunc("POST /v2/profile/load", s.instrument("load", true, s.handleLoad))
 	s.mux.HandleFunc("POST /v2/jobs", s.instrument("jobs", false, s.handleJobsSubmit))
@@ -259,49 +258,20 @@ func (s *Server) session(id string) (*Session, error) {
 
 // ---- request/response payloads ----
 
-type compileRequest struct {
-	Source     string `json:"source"`
-	MainClass  string `json:"main_class,omitempty"`
-	MainMethod string `json:"main_method,omitempty"`
+// request is the body of every synchronous endpoint that runs a job kind
+// (and of save and load): the session to run against plus a job spec, so
+// both request paths decode one vocabulary — the facade's option structs.
+// The endpoint sets the kind; compile reads the spec's program instead of
+// a session.
+type request struct {
+	Session string `json:"session"`
+	jobs.Spec
 }
 
 type compileResponse struct {
 	Session      string `json:"session"`
 	Instructions int    `json:"instructions"`
 	CacheHit     bool   `json:"cache_hit"`
-}
-
-// profileParams selects a memoized profiling configuration. Zero values
-// mean the facade defaults.
-type profileParams struct {
-	Slots        int  `json:"slots,omitempty"`
-	TreeHeight   int  `json:"tree_height,omitempty"`
-	Traditional  bool `json:"traditional,omitempty"`
-	TrackControl bool `json:"track_control,omitempty"`
-	Prune        bool `json:"prune,omitempty"`
-}
-
-func (p profileParams) key() profileKey {
-	k := profileKey{
-		Slots:        p.Slots,
-		TreeHeight:   p.TreeHeight,
-		Traditional:  p.Traditional,
-		TrackControl: p.TrackControl,
-		Prune:        p.Prune,
-	}
-	if k.Slots <= 0 {
-		k.Slots = lowutil.DefaultSlots
-	}
-	if k.TreeHeight <= 0 {
-		k.TreeHeight = lowutil.DefaultTreeHeight
-	}
-	return k
-}
-
-type profileRequest struct {
-	Session string `json:"session"`
-	profileParams
-	Top int `json:"top,omitempty"`
 }
 
 type findingJSON struct {
@@ -328,19 +298,13 @@ type reportResponse struct {
 	Report   string `json:"report"`
 }
 
-type sliceRequest struct {
-	Session string `json:"session"`
-	Mode    string `json:"mode,omitempty"`
-	ObjCtx  bool   `json:"objctx,omitempty"`
-	Top     int    `json:"top,omitempty"`
-}
+// cached is a response body that reports whether a memoized result served
+// it. Only the synchronous endpoints set the bit; see executeSpec.
+type cached interface{ setCacheHit(hit bool) }
 
-type auditRequest struct {
-	Session string `json:"session"`
-	Mode    string `json:"mode,omitempty"`
-	ObjCtx  bool   `json:"objctx,omitempty"`
-	Top     int    `json:"top,omitempty"`
-}
+func (r *compileResponse) setCacheHit(hit bool) { r.CacheHit = hit }
+func (r *profileResponse) setCacheHit(hit bool) { r.CacheHit = hit }
+func (r *reportResponse) setCacheHit(hit bool)  { r.CacheHit = hit }
 
 type vetRequest struct {
 	Session string `json:"session"`
@@ -374,36 +338,97 @@ type runResponse struct {
 }
 
 type loadRequest struct {
-	Session string          `json:"session"`
+	request
 	Profile json.RawMessage `json:"profile"`
-	Top     int             `json:"top,omitempty"`
 }
 
 // ---- handlers ----
 
-func (s *Server) handleCompile(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[compileRequest](r)
-	if err != nil {
-		return nil, err
+// canonical returns the one form of spec that the memo keys and the job
+// content address see, so two requests that mean the same run share it.
+// It fills the defaults (entry point Main.main, s, n, top, call-graph mode
+// "rta"), zeroes every option spec.Kind does not read and clears prune
+// under traditional slicing, where the facade ignores it. The process-side
+// budgets need no clearing: no body can set them (json:"-").
+func canonical(spec jobs.Spec) jobs.Spec {
+	if spec.MainClass == "" {
+		spec.MainClass = "Main"
 	}
-	if req.Source == "" {
-		return nil, &badRequestError{errors.New("missing source")}
+	if spec.MainMethod == "" {
+		spec.MainMethod = "main"
 	}
-	mc, mm := req.MainClass, req.MainMethod
-	if mc == "" {
-		mc = "Main"
+	p, a := spec.ProfileOptions, spec.AnalysisOptions
+	spec.ProfileOptions, spec.AnalysisOptions = lowutil.ProfileOptions{}, lowutil.AnalysisOptions{}
+	if a.Top <= 0 {
+		a.Top = lowutil.DefaultTop
 	}
-	if mm == "" {
-		mm = "main"
+	switch spec.Kind {
+	case jobs.KindProfile, jobs.KindReport:
+		if p.Slots <= 0 {
+			p.Slots = lowutil.DefaultSlots
+		}
+		if p.TreeHeight <= 0 {
+			p.TreeHeight = lowutil.DefaultTreeHeight
+		}
+		p.StaticPrune = p.StaticPrune && !p.Traditional
+		spec.ProfileOptions = p
+		spec.Top = a.Top
+	case jobs.KindSlice, jobs.KindAudit:
+		if a.Mode == "" {
+			a.Mode = "rta"
+		}
+		spec.AnalysisOptions = a
 	}
-	id := sessionKey(req.Source, mc, mm)
+	return spec
+}
+
+// handle serves the synchronous endpoint of one job kind: it puts the
+// request in canonical form, resolves the program (compiling it, for
+// compile), runs the executor the job queue shares, and stamps cache_hit.
+func (s *Server) handle(kind string) func(ctx context.Context, r *http.Request) (any, error) {
+	return func(ctx context.Context, r *http.Request) (any, error) {
+		req, err := decode[request](r)
+		if err != nil {
+			return nil, err
+		}
+		req.Kind = kind
+		spec := canonical(req.Spec)
+		var sess *Session
+		reused := false
+		if kind == jobs.KindCompile {
+			if spec.Source == "" {
+				return nil, &badRequestError{errors.New("missing source")}
+			}
+			sess, reused, err = s.compile(spec)
+		} else {
+			sess, err = s.session(req.Session)
+		}
+		if err != nil {
+			return nil, err
+		}
+		body, hit, err := s.execute(ctx, sess, reused, spec)
+		if err != nil {
+			return nil, err
+		}
+		if c, ok := body.(cached); ok {
+			c.setCacheHit(hit)
+		}
+		return body, nil
+	}
+}
+
+// compile resolves the session for spec's program through the server's
+// session LRU, compiling on a miss — /v2/compile and the job queue share
+// one compiled-program cache. reused reports that the session existed.
+func (s *Server) compile(spec jobs.Spec) (sess *Session, reused bool, err error) {
+	id := sessionKey(spec.Source, spec.MainClass, spec.MainMethod)
 	if sess, ok := s.sessions.get(id); ok {
 		s.met.sessionHits.Add(1)
-		return compileResponse{Session: sess.ID, Instructions: sess.Prog.NumInstructions(), CacheHit: true}, nil
+		return sess, true, nil
 	}
-	prog, err := lowutil.CompileAt(req.Source, mc, mm)
+	prog, err := lowutil.CompileAt(spec.Source, spec.MainClass, spec.MainMethod)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	sess, inserted, evicted := s.sessions.add(&Session{ID: id, Created: time.Now(), Prog: prog})
 	if inserted {
@@ -412,13 +437,100 @@ func (s *Server) handleCompile(ctx context.Context, r *http.Request) (any, error
 		s.met.sessionHits.Add(1)
 	}
 	s.met.sessionEvictions.Add(int64(evicted))
-	return compileResponse{Session: sess.ID, Instructions: sess.Prog.NumInstructions(), CacheHit: !inserted}, nil
+	return sess, !inserted, nil
 }
 
-// cachedProfile resolves the memoized run for a request, counting cache
-// traffic and step totals.
-func (s *Server) cachedProfile(ctx context.Context, sess *Session, p profileParams) (*profileEntry, bool, error) {
-	e, hit, err := sess.profile(ctx, p.key())
+// execute runs one canonical spec over its compiled session — the single
+// executor behind the synchronous endpoints and the job queue. It returns
+// the response body with cache_hit unset, plus whether a memoized result
+// served it: for compile, reused (the session already existed); for
+// profile, report and audit, the session's memo.
+func (s *Server) execute(ctx context.Context, sess *Session, reused bool, spec jobs.Spec) (any, bool, error) {
+	switch spec.Kind {
+	case jobs.KindCompile:
+		return &compileResponse{Session: sess.ID, Instructions: sess.Prog.NumInstructions()}, reused, nil
+
+	case jobs.KindRun:
+		res, err := sess.Prog.RunContext(ctx)
+		if err != nil {
+			return nil, false, err
+		}
+		out := res.Output
+		if out == nil {
+			out = []int64{}
+		}
+		return &runResponse{
+			Session: sess.ID, Output: out,
+			Steps: res.Steps, Allocs: res.Allocs, NativeWork: res.NativeWork,
+		}, false, nil
+
+	case jobs.KindProfile:
+		e, hit, err := s.cachedProfile(ctx, sess, spec.ProfileOptions)
+		if err != nil {
+			return nil, hit, err
+		}
+		resp := &profileResponse{Session: sess.ID, Top: []findingJSON{}}
+		e.use(func(pr *lowutil.Profile) error {
+			resp.Steps = pr.Steps()
+			resp.Pruned = pr.PrunedEvents()
+			for _, f := range pr.TopStructures(spec.Top) {
+				resp.Top = append(resp.Top, findingJSON{
+					Site: f.Site, Where: f.Where, Cost: f.Cost, Benefit: f.Benefit,
+					Rate: f.Rate, ReachesConsumer: f.ReachesConsumer, Allocs: f.Allocs,
+				})
+			}
+			return nil
+		})
+		return resp, hit, nil
+
+	case jobs.KindReport:
+		e, hit, err := s.cachedProfile(ctx, sess, spec.ProfileOptions)
+		if err != nil {
+			return nil, hit, err
+		}
+		resp := &reportResponse{Session: sess.ID}
+		e.use(func(pr *lowutil.Profile) error {
+			resp.Report = pr.Report(spec.Top)
+			return nil
+		})
+		return resp, hit, nil
+
+	case jobs.KindSlice:
+		rep, err := sess.Prog.StaticSliceContext(ctx, set(spec.AnalysisOptions))
+		if err != nil {
+			return nil, false, err
+		}
+		return &reportResponse{Session: sess.ID, Report: rep}, false, nil
+
+	case jobs.KindAudit:
+		// Memoized per session under the canonical options, with the same
+		// in-flight latch discipline as profiles: concurrent identical
+		// requests share one analysis.
+		e, hit, err := sess.audit(ctx, spec.AnalysisOptions)
+		if hit {
+			s.met.auditHits.Add(1)
+		} else {
+			s.met.auditMisses.Add(1)
+		}
+		if err != nil {
+			return nil, hit, err
+		}
+		return &reportResponse{Session: sess.ID, Report: e.report}, hit, nil
+
+	default:
+		return nil, false, &badRequestError{fmt.Errorf("unknown job kind %q", spec.Kind)}
+	}
+}
+
+// set is the functional option that installs a whole, already-canonical
+// option struct, so the facade runs exactly the configuration a memo key
+// names.
+func set[T any](v T) func(*T) { return func(o *T) { *o = v } }
+
+// cachedProfile resolves the memoized run for canonical profile options,
+// counting cache traffic and step totals.
+func (s *Server) cachedProfile(ctx context.Context, sess *Session, key lowutil.ProfileOptions) (*profileEntry, bool, error) {
+	e, hit, err := sess.profile(ctx, key)
 	if hit {
 		s.met.profileHits.Add(1)
 	} else {
@@ -431,115 +543,6 @@ func (s *Server) cachedProfile(ctx context.Context, sess *Session, p profilePara
 		}
 	}
 	return e, hit, err
-}
-
-func (s *Server) handleProfile(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[profileRequest](r)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := s.session(req.Session)
-	if err != nil {
-		return nil, err
-	}
-	e, hit, err := s.cachedProfile(ctx, sess, req.profileParams)
-	if err != nil {
-		return nil, err
-	}
-	top := req.Top
-	if top <= 0 {
-		top = lowutil.DefaultTop
-	}
-	resp := profileResponse{Session: sess.ID, CacheHit: hit, Top: []findingJSON{}}
-	e.use(func(pr *lowutil.Profile) error {
-		resp.Steps = pr.Steps()
-		resp.Pruned = pr.PrunedEvents()
-		for _, f := range pr.TopStructures(top) {
-			resp.Top = append(resp.Top, findingJSON{
-				Site: f.Site, Where: f.Where, Cost: f.Cost, Benefit: f.Benefit,
-				Rate: f.Rate, ReachesConsumer: f.ReachesConsumer, Allocs: f.Allocs,
-			})
-		}
-		return nil
-	})
-	return resp, nil
-}
-
-func (s *Server) handleReport(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[profileRequest](r)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := s.session(req.Session)
-	if err != nil {
-		return nil, err
-	}
-	e, hit, err := s.cachedProfile(ctx, sess, req.profileParams)
-	if err != nil {
-		return nil, err
-	}
-	top := req.Top
-	if top <= 0 {
-		top = lowutil.DefaultTop
-	}
-	resp := reportResponse{Session: sess.ID, CacheHit: hit}
-	e.use(func(pr *lowutil.Profile) error {
-		resp.Report = pr.Report(top)
-		return nil
-	})
-	return resp, nil
-}
-
-func (s *Server) handleSlice(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[sliceRequest](r)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := s.session(req.Session)
-	if err != nil {
-		return nil, err
-	}
-	opts := []lowutil.SliceOption{lowutil.WithTop(req.Top)}
-	if req.Mode != "" {
-		opts = append(opts, lowutil.WithMode(req.Mode))
-	}
-	if req.ObjCtx {
-		opts = append(opts, lowutil.WithObjCtx())
-	}
-	rep, err := sess.Prog.StaticSliceContext(ctx, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return reportResponse{Session: sess.ID, Report: rep}, nil
-}
-
-// handleAudit serves the fully static low-utility audit. Reports are
-// memoized per session under the complete audit configuration, with the
-// same in-flight latch discipline as profiles — concurrent identical
-// requests share one analysis.
-func (s *Server) handleAudit(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[auditRequest](r)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := s.session(req.Session)
-	if err != nil {
-		return nil, err
-	}
-	top := req.Top
-	if top <= 0 {
-		top = lowutil.DefaultTop
-	}
-	e, hit, err := sess.audit(ctx, auditKey{Mode: req.Mode, ObjCtx: req.ObjCtx, Top: top})
-	if hit {
-		s.met.auditHits.Add(1)
-	} else {
-		s.met.auditMisses.Add(1)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return reportResponse{Session: sess.ID, CacheHit: hit, Report: e.report}, nil
 }
 
 func (s *Server) handleVet(ctx context.Context, r *http.Request) (any, error) {
@@ -582,34 +585,11 @@ func (s *Server) handleSSA(ctx context.Context, r *http.Request) (any, error) {
 	return ssaResponse{Session: sess.ID, Dump: dump}, nil
 }
 
-func (s *Server) handleRun(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[vetRequest](r)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := s.session(req.Session)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sess.Prog.RunContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := res.Output
-	if out == nil {
-		out = []int64{}
-	}
-	return runResponse{
-		Session: sess.ID, Output: out,
-		Steps: res.Steps, Allocs: res.Allocs, NativeWork: res.NativeWork,
-	}, nil
-}
-
 // handleSave profiles (or reuses the memoized run) and streams the
 // portable profile envelope — the §3.2 offline-analysis deployment mode
 // over HTTP.
 func (s *Server) handleSave(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[profileRequest](r)
+	req, err := decode[request](r)
 	if err != nil {
 		return nil, err
 	}
@@ -617,7 +597,8 @@ func (s *Server) handleSave(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, _, err := s.cachedProfile(ctx, sess, req.profileParams)
+	req.Kind = jobs.KindProfile
+	e, _, err := s.cachedProfile(ctx, sess, canonical(req.Spec).ProfileOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -646,11 +627,8 @@ func (s *Server) handleLoad(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, &badRequestError{err}
 	}
-	top := req.Top
-	if top <= 0 {
-		top = lowutil.DefaultTop
-	}
-	return reportResponse{Session: sess.ID, Report: pr.Report(top)}, nil
+	req.Kind = jobs.KindReport
+	return reportResponse{Session: sess.ID, Report: pr.Report(canonical(req.Spec).Top)}, nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

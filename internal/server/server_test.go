@@ -102,7 +102,7 @@ func postJSON(t *testing.T, url string, body any) (int, []byte) {
 
 func compileSession(t *testing.T, base, src string) string {
 	t.Helper()
-	code, body := postJSON(t, base+"/v2/compile", compileRequest{Source: src})
+	code, body := postJSON(t, base+"/v2/compile", map[string]string{"source": src})
 	if code != http.StatusOK {
 		t.Fatalf("compile: status %d: %s", code, body)
 	}
@@ -152,7 +152,7 @@ func TestConcurrentProfiles(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			code, body := postJSON(t, ts.URL+"/v2/profile", profileRequest{Session: id})
+			code, body := postJSON(t, ts.URL+"/v2/profile", request{Session: id})
 			codes[i] = code
 			json.Unmarshal(body, &responses[i])
 		}(i)
@@ -186,7 +186,7 @@ func TestConcurrentProfiles(t *testing.T) {
 
 	// A later report request reuses the same memoized run: still no second
 	// profiler execution.
-	code, body := postJSON(t, ts.URL+"/v2/report", profileRequest{Session: id})
+	code, body := postJSON(t, ts.URL+"/v2/report", request{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("report: status %d: %s", code, body)
 	}
@@ -204,7 +204,7 @@ func TestConcurrentProfiles(t *testing.T) {
 // is a session cache hit with the same ID.
 func TestCompileSessionCache(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, body := postJSON(t, ts.URL+"/v2/compile", compileRequest{Source: workSrc})
+	code, body := postJSON(t, ts.URL+"/v2/compile", map[string]string{"source": workSrc})
 	if code != http.StatusOK {
 		t.Fatalf("compile: %d %s", code, body)
 	}
@@ -213,7 +213,7 @@ func TestCompileSessionCache(t *testing.T) {
 	if first.CacheHit {
 		t.Error("first compile reported a cache hit")
 	}
-	_, body = postJSON(t, ts.URL+"/v2/compile", compileRequest{Source: workSrc})
+	_, body = postJSON(t, ts.URL+"/v2/compile", map[string]string{"source": workSrc})
 	var second compileResponse
 	json.Unmarshal(body, &second)
 	if !second.CacheHit || second.Session != first.Session {
@@ -232,7 +232,7 @@ func TestCancellation(t *testing.T) {
 	id := compileSession(t, ts.URL, spinSrc)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	buf, _ := json.Marshal(profileRequest{Session: id})
+	buf, _ := json.Marshal(request{Session: id})
 	req := httptest.NewRequest("POST", "/v2/profile", bytes.NewReader(buf)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	start := time.Now()
@@ -261,7 +261,7 @@ func TestCancellation(t *testing.T) {
 	// The deadline path: a tight per-request timeout produces 504.
 	_, ts2 := newTestServer(t, Config{RequestTimeout: 100 * time.Millisecond})
 	id2 := compileSession(t, ts2.URL, spinSrc)
-	code, body := postJSON(t, ts2.URL+"/v2/profile", profileRequest{Session: id2})
+	code, body := postJSON(t, ts2.URL+"/v2/profile", request{Session: id2})
 	if code != http.StatusGatewayTimeout {
 		t.Errorf("deadline status = %d, want 504; body %s", code, body)
 	}
@@ -279,7 +279,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatal("fresh gate full")
 	}
 	defer s.gate.Release()
-	code, body := postJSON(t, ts.URL+"/v2/profile", profileRequest{Session: id})
+	code, body := postJSON(t, ts.URL+"/v2/profile", request{Session: id})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429; body %s", code, body)
 	}
@@ -298,21 +298,21 @@ func TestAdmissionControl(t *testing.T) {
 // arrives in the unified {"error":{code,message,retryable}} envelope.
 func TestErrorMapping(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, body := postJSON(t, ts.URL+"/v2/compile", compileRequest{Source: "class Main { static void main() { print(x); } }"})
+	code, body := postJSON(t, ts.URL+"/v2/compile", map[string]string{"source": "class Main { static void main() { print(x); } }"})
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("compile error status = %d, want 422; body %s", code, body)
 	}
 	if eb := decodeEnvelope(t, body); eb.Code != "compile_error" || eb.Line <= 0 || eb.Retryable {
 		t.Errorf("422 envelope = %+v, want compile_error with position", eb)
 	}
-	code, body = postJSON(t, ts.URL+"/v2/profile", profileRequest{Session: "deadbeef"})
+	code, body = postJSON(t, ts.URL+"/v2/profile", request{Session: "deadbeef"})
 	if code != http.StatusNotFound {
 		t.Errorf("unknown session status = %d, want 404", code)
 	}
 	if eb := decodeEnvelope(t, body); eb.Code != "not_found" || eb.Retryable {
 		t.Errorf("404 envelope = %+v, want not_found", eb)
 	}
-	code, body = postJSON(t, ts.URL+"/v2/profile", profileRequest{})
+	code, body = postJSON(t, ts.URL+"/v2/profile", request{})
 	if code != http.StatusBadRequest {
 		t.Errorf("missing session status = %d, want 400", code)
 	}
@@ -329,11 +329,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := compileSession(t, ts.URL, workSrc)
 
-	code, envelope := postJSON(t, ts.URL+"/v2/profile/save", profileRequest{Session: id})
+	code, envelope := postJSON(t, ts.URL+"/v2/profile/save", request{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("save: status %d: %s", code, envelope)
 	}
-	code, body := postJSON(t, ts.URL+"/v2/profile/load", loadRequest{Session: id, Profile: envelope})
+	code, body := postJSON(t, ts.URL+"/v2/profile/load", map[string]any{"session": id, "profile": json.RawMessage(envelope)})
 	if code != http.StatusOK {
 		t.Fatalf("load: status %d: %s", code, body)
 	}
@@ -355,7 +355,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	// Loading the same envelope twice is deterministic.
-	_, body2 := postJSON(t, ts.URL+"/v2/profile/load", loadRequest{Session: id, Profile: envelope})
+	_, body2 := postJSON(t, ts.URL+"/v2/profile/load", map[string]any{"session": id, "profile": json.RawMessage(envelope)})
 	if !bytes.Equal(body, body2) {
 		t.Error("two loads of the same envelope produced different responses")
 	}
@@ -366,7 +366,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestMetricsAndHealth(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxInFlight: 3})
 	id := compileSession(t, ts.URL, workSrc)
-	postJSON(t, ts.URL+"/v2/profile", profileRequest{Session: id})
+	postJSON(t, ts.URL+"/v2/profile", request{Session: id})
 	postJSON(t, ts.URL+"/v2/run", vetRequest{Session: id})
 
 	if got := metricValue(t, ts.URL, `lowutil_requests_total{endpoint="compile"}`); got != 1 {
@@ -428,7 +428,7 @@ func TestVetAndSlice(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("vet: %d %s", code, body)
 	}
-	code, body = postJSON(t, ts.URL+"/v2/slice", sliceRequest{Session: id, Mode: "rta", Top: 5})
+	code, body = postJSON(t, ts.URL+"/v2/slice", map[string]any{"session": id, "mode": "rta", "top": 5})
 	if code != http.StatusOK {
 		t.Fatalf("slice: %d %s", code, body)
 	}
@@ -455,7 +455,7 @@ func TestConcurrentAudits(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			code, body := postJSON(t, ts.URL+"/v2/audit", auditRequest{Session: id})
+			code, body := postJSON(t, ts.URL+"/v2/audit", request{Session: id})
 			codes[i] = code
 			json.Unmarshal(body, &responses[i])
 		}(i)
@@ -487,20 +487,29 @@ func TestConcurrentAudits(t *testing.T) {
 		t.Errorf("audit cache hits = %d, want %d", got, n-1)
 	}
 
-	// A differently-keyed request runs a second analysis — and because
-	// "rta" is the default mode, its report is byte-identical to the
-	// memoized default-key report: the analysis is deterministic.
-	code, body := postJSON(t, ts.URL+"/v2/audit", auditRequest{Session: id, Mode: "rta"})
+	// "rta" is the default mode, so spelling it out names the same
+	// canonical key: the memoized report answers it. A genuinely different
+	// configuration runs a second analysis.
+	code, body := postJSON(t, ts.URL+"/v2/audit", map[string]any{"session": id, "mode": "rta"})
 	if code != http.StatusOK {
 		t.Fatalf("explicit-mode audit: status %d: %s", code, body)
 	}
 	var rr reportResponse
 	json.Unmarshal(body, &rr)
-	if rr.CacheHit {
-		t.Error("explicit-mode audit reported a cache hit for a distinct key")
+	if !rr.CacheHit {
+		t.Error("explicit default mode missed the memoized default-key report")
 	}
 	if rr.Report != responses[0].Report {
-		t.Errorf("re-analysis is not byte-stable:\n%s\nvs\n%s", rr.Report, responses[0].Report)
+		t.Errorf("explicit default mode changed the report:\n%s\nvs\n%s", rr.Report, responses[0].Report)
+	}
+	code, body = postJSON(t, ts.URL+"/v2/audit", map[string]any{"session": id, "mode": "cha"})
+	if code != http.StatusOK {
+		t.Fatalf("cha audit: status %d: %s", code, body)
+	}
+	rr = reportResponse{}
+	json.Unmarshal(body, &rr)
+	if rr.CacheHit {
+		t.Error("cha audit reported a cache hit for a distinct key")
 	}
 	if got := metricValue(t, ts.URL, "lowutil_audit_cache_misses_total"); got != 2 {
 		t.Errorf("audit cache misses = %d, want 2", got)
@@ -517,7 +526,7 @@ func TestAuditCancellationAndDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the client is gone before the analysis starts
-	buf, _ := json.Marshal(auditRequest{Session: id})
+	buf, _ := json.Marshal(request{Session: id})
 	req := httptest.NewRequest("POST", "/v2/audit", bytes.NewReader(buf)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
@@ -533,7 +542,7 @@ func TestAuditCancellationAndDeadline(t *testing.T) {
 	}
 
 	// The same key retries cleanly after the eviction.
-	code, body := postJSON(t, ts.URL+"/v2/audit", auditRequest{Session: id})
+	code, body := postJSON(t, ts.URL+"/v2/audit", request{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("retry after cancel: status %d: %s", code, body)
 	}
@@ -547,7 +556,7 @@ func TestAuditCancellationAndDeadline(t *testing.T) {
 	// 504 (the fixpoints poll the context before converging).
 	_, ts2 := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
 	id2 := compileSession(t, ts2.URL, workSrc)
-	code, body = postJSON(t, ts2.URL+"/v2/audit", auditRequest{Session: id2})
+	code, body = postJSON(t, ts2.URL+"/v2/audit", request{Session: id2})
 	if code != http.StatusGatewayTimeout {
 		t.Errorf("deadline audit status = %d, want 504; body %s", code, body)
 	}

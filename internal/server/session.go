@@ -32,34 +32,6 @@ func sessionKey(src, mainClass, mainMethod string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// profileKey is the complete profiling configuration a cached run is
-// memoized under. Two requests with equal keys are satisfied by one run.
-type profileKey struct {
-	Slots        int
-	TreeHeight   int
-	Traditional  bool
-	TrackControl bool
-	Prune        bool
-}
-
-// options expands the key into facade options.
-func (k profileKey) options() []lowutil.ProfileOption {
-	opts := []lowutil.ProfileOption{
-		lowutil.WithSlots(k.Slots),
-		lowutil.WithTreeHeight(k.TreeHeight),
-	}
-	if k.Traditional {
-		opts = append(opts, lowutil.WithTraditional())
-	}
-	if k.TrackControl {
-		opts = append(opts, lowutil.WithTrackControl())
-	}
-	if k.Prune {
-		opts = append(opts, lowutil.WithPrune())
-	}
-	return opts
-}
-
 // profileEntry latches one profiling run. done closes when prof/err are
 // final; mu serializes analysis queries over the shared Profile (the
 // facade does not promise a Profile is safe for concurrent use — its graph
@@ -79,26 +51,6 @@ func (e *profileEntry) use(fn func(pr *lowutil.Profile) error) error {
 	return fn(e.prof)
 }
 
-// auditKey is the complete static-audit configuration a cached report is
-// memoized under. Two requests with equal keys share one analysis.
-type auditKey struct {
-	Mode   string
-	ObjCtx bool
-	Top    int
-}
-
-// options expands the key into facade options.
-func (k auditKey) options() []lowutil.AuditOption {
-	opts := []lowutil.AuditOption{lowutil.WithTop(k.Top)}
-	if k.Mode != "" {
-		opts = append(opts, lowutil.WithMode(k.Mode))
-	}
-	if k.ObjCtx {
-		opts = append(opts, lowutil.WithObjCtx())
-	}
-	return opts
-}
-
 // auditEntry latches one static-audit analysis. done closes when
 // report/err are final; the rendered report is immutable afterwards, so
 // readers need no lock.
@@ -115,9 +67,11 @@ type Session struct {
 	Created time.Time
 	Prog    *lowutil.Program
 
+	// The memo keys are the canonical facade options themselves (see
+	// canonical): two requests with equal keys share one run.
 	mu       sync.Mutex
-	profiles map[profileKey]*profileEntry
-	audits   map[auditKey]*auditEntry
+	profiles map[lowutil.ProfileOptions]*profileEntry
+	audits   map[lowutil.AnalysisOptions]*auditEntry
 }
 
 // profile returns the memoized run for key, computing it under ctx on a
@@ -126,11 +80,11 @@ type Session struct {
 // caller then waits on the latch instead of burning a second run). A run
 // aborted by cancellation is evicted so the next request retries; a waiter
 // whose own context is still live retries immediately.
-func (s *Session) profile(ctx context.Context, key profileKey) (*profileEntry, bool, error) {
+func (s *Session) profile(ctx context.Context, key lowutil.ProfileOptions) (*profileEntry, bool, error) {
 	for {
 		s.mu.Lock()
 		if s.profiles == nil {
-			s.profiles = make(map[profileKey]*profileEntry)
+			s.profiles = make(map[lowutil.ProfileOptions]*profileEntry)
 		}
 		e, hit := s.profiles[key]
 		if !hit {
@@ -145,7 +99,7 @@ func (s *Session) profile(ctx context.Context, key profileKey) (*profileEntry, b
 					delete(s.profiles, key)
 				}
 			}, func() (err error) {
-				e.prof, err = s.Prog.ProfileContext(ctx, key.options()...)
+				e.prof, err = s.Prog.ProfileContext(ctx, set(key))
 				return err
 			})
 			return e, false, e.err
@@ -192,11 +146,11 @@ func (s *Session) fill(done chan struct{}, errp *error, evict func(), fn func() 
 // an in-flight analysis, a run aborted by cancellation is evicted so the
 // next request retries, and a waiter whose own context is still live
 // retries immediately.
-func (s *Session) audit(ctx context.Context, key auditKey) (*auditEntry, bool, error) {
+func (s *Session) audit(ctx context.Context, key lowutil.AnalysisOptions) (*auditEntry, bool, error) {
 	for {
 		s.mu.Lock()
 		if s.audits == nil {
-			s.audits = make(map[auditKey]*auditEntry)
+			s.audits = make(map[lowutil.AnalysisOptions]*auditEntry)
 		}
 		e, hit := s.audits[key]
 		if !hit {
@@ -211,7 +165,7 @@ func (s *Session) audit(ctx context.Context, key auditKey) (*auditEntry, bool, e
 					delete(s.audits, key)
 				}
 			}, func() (err error) {
-				e.report, err = s.Prog.StaticAudit(ctx, key.options()...)
+				e.report, err = s.Prog.StaticAudit(ctx, set(key))
 				return err
 			})
 			return e, false, e.err

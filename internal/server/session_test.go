@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lowutil"
+	"lowutil/internal/jobs"
 )
 
 // TestPanickingRunReleasesLatch: a profile or audit run that panics (here
@@ -16,7 +17,8 @@ import (
 // runs afresh and returns promptly instead of waiting out its deadline.
 func TestPanickingRunReleasesLatch(t *testing.T) {
 	sess := &Session{ID: "zero", Prog: &lowutil.Program{}}
-	pkey, akey := profileParams{}.key(), auditKey{Top: lowutil.DefaultTop}
+	pkey := canonical(jobs.Spec{Kind: jobs.KindProfile}).ProfileOptions
+	akey := canonical(jobs.Spec{Kind: jobs.KindAudit}).AnalysisOptions
 	runs := map[string]func(ctx context.Context) (bool, error){
 		"profile": func(ctx context.Context) (bool, error) {
 			_, hit, err := sess.profile(ctx, pkey)
@@ -53,9 +55,9 @@ func TestPanickingRunReleasesLatch(t *testing.T) {
 // run panics gets the error as soon as the latch closes.
 func TestPanicReleasesWaiters(t *testing.T) {
 	sess := &Session{ID: "zero", Prog: &lowutil.Program{}}
-	key := profileParams{}.key()
+	key := canonical(jobs.Spec{Kind: jobs.KindProfile}).ProfileOptions
 	e := &profileEntry{done: make(chan struct{})}
-	sess.profiles = map[profileKey]*profileEntry{key: e}
+	sess.profiles = map[lowutil.ProfileOptions]*profileEntry{key: e}
 
 	waited := make(chan error, 1)
 	go func() {

@@ -23,9 +23,8 @@
 //	profile, err := prog.ProfileContext(ctx, lowutil.WithSlots(16), lowutil.WithPrune())
 //	fmt.Println(profile.Report(10))
 //
-// The context-free Profile/Run/StaticSlice methods remain as deprecated
-// wrappers. `lowutil serve` (internal/server) exposes this facade as a
-// concurrent HTTP JSON API with session and profile caching.
+// `lowutil serve` (internal/server) exposes this facade as a concurrent
+// HTTP JSON API with session and profile caching.
 //
 // The experiment harnesses behind Table 1 and the six case studies live in
 // internal/evalharness and internal/casestudies and are driven by the
@@ -170,63 +169,23 @@ func (p *Program) SSADump(method string) (string, error) {
 type AnalysisOptions struct {
 	// Mode selects call-graph construction: "cha" (class hierarchy) or
 	// "rta" (rapid type analysis, the default).
-	Mode string
+	Mode string `json:"mode,omitempty"`
 	// ObjCtx qualifies allocation sites by one level of receiver-object
 	// context — the static mirror of the dynamic profiler's
 	// receiver-object-sensitive slots.
-	ObjCtx bool
+	ObjCtx bool `json:"objctx,omitempty"`
 	// Top bounds the candidate list in the rendered report (0 = DefaultTop).
-	Top int
-}
-
-// SliceOptions is the static slice's view of the shared analysis
-// configuration.
-type SliceOptions = AnalysisOptions
-
-// AuditOptions is the static audit's view of the shared analysis
-// configuration.
-type AuditOptions = AnalysisOptions
-
-// StaticSlice builds the whole-program static thin slice — call graph,
-// points-to relation, and the static over-approximation of Gcost — and
-// renders its report: graph sizes, the statically write-only stored
-// locations, and the top cost/benefit-bounded candidates. No execution is
-// involved, and every dependence, reference, and ownership edge any run
-// could produce is contained in the static edge sets (the soundness
-// invariant cross-validated by the differential harness). Output is
-// byte-stable across runs.
-// StaticSlice is the v1 entry point for the static slice.
-//
-// Deprecated: use StaticSliceContext, which adds cancellation and
-// functional options. This wrapper remains so existing callers compile.
-func (p *Program) StaticSlice(opts SliceOptions) (string, error) {
-	return p.staticSlice(context.Background(), opts)
+	Top int `json:"top,omitempty"`
 }
 
 // StaticSliceContext builds the whole-program static thin slice under ctx
 // — fixpoint loops poll the context, so deadlines and cancellation abort
 // the analysis promptly with an ErrCanceled-wrapped error. Options fold
 // over the defaults (mode rta, top DefaultTop).
-func (p *Program) StaticSliceContext(ctx context.Context, opts ...SliceOption) (string, error) {
-	return p.staticSlice(ctx, applyAnalysisOptions(opts))
-}
-
-func (p *Program) staticSlice(ctx context.Context, opts AnalysisOptions) (string, error) {
-	cfg := interproc.Config{Mode: interproc.RTA, ObjCtx: opts.ObjCtx}
-	switch opts.Mode {
-	case "", "rta":
-	case "cha":
-		cfg.Mode = interproc.CHA
-	default:
-		return "", fmt.Errorf("lowutil: unknown call-graph mode %q (want cha or rta)", opts.Mode)
-	}
-	top := opts.Top
-	if top <= 0 {
-		top = DefaultTop
-	}
-	an, err := interproc.AnalyzeContext(ctx, p.prog, cfg)
+func (p *Program) StaticSliceContext(ctx context.Context, opts ...AnalysisOption) (string, error) {
+	an, top, err := p.analyze(ctx, "slice", applyAnalysisOptions(opts))
 	if err != nil {
-		return "", wrapRunErr("slice", err)
+		return "", err
 	}
 	return an.Report(top), nil
 }
@@ -243,18 +202,29 @@ func (p *Program) staticSlice(ctx context.Context, opts AnalysisOptions) (string
 // analysis fixpoints poll ctx, so deadlines and cancellation abort promptly
 // with an ErrCanceled-wrapped error. Options fold over the defaults (mode
 // rta, top DefaultTop).
-func (p *Program) StaticAudit(ctx context.Context, opts ...AuditOption) (string, error) {
-	return p.staticAudit(ctx, applyAnalysisOptions(opts))
+func (p *Program) StaticAudit(ctx context.Context, opts ...AnalysisOption) (string, error) {
+	an, top, err := p.analyze(ctx, "audit", applyAnalysisOptions(opts))
+	if err != nil {
+		return "", err
+	}
+	r, err := escape.AnalyzeContext(ctx, an)
+	if err != nil {
+		return "", wrapRunErr("audit", err)
+	}
+	return r.Report(top), nil
 }
 
-func (p *Program) staticAudit(ctx context.Context, opts AnalysisOptions) (string, error) {
+// analyze parses opts into the interprocedural configuration, runs the
+// call-graph and points-to analysis under ctx, and returns it with the
+// report length (Top, defaulted). stage names the caller in errors.
+func (p *Program) analyze(ctx context.Context, stage string, opts AnalysisOptions) (*interproc.Analysis, int, error) {
 	cfg := interproc.Config{Mode: interproc.RTA, ObjCtx: opts.ObjCtx}
 	switch opts.Mode {
 	case "", "rta":
 	case "cha":
 		cfg.Mode = interproc.CHA
 	default:
-		return "", fmt.Errorf("lowutil: unknown call-graph mode %q (want cha or rta)", opts.Mode)
+		return nil, 0, fmt.Errorf("lowutil: unknown call-graph mode %q (want cha or rta)", opts.Mode)
 	}
 	top := opts.Top
 	if top <= 0 {
@@ -262,13 +232,9 @@ func (p *Program) staticAudit(ctx context.Context, opts AnalysisOptions) (string
 	}
 	an, err := interproc.AnalyzeContext(ctx, p.prog, cfg)
 	if err != nil {
-		return "", wrapRunErr("audit", err)
+		return nil, 0, wrapRunErr(stage, err)
 	}
-	r, err := escape.AnalyzeContext(ctx, an)
-	if err != nil {
-		return "", wrapRunErr("audit", err)
-	}
-	return r.Report(top), nil
+	return an, top, nil
 }
 
 // RunResult summarizes an uninstrumented execution.
@@ -281,14 +247,6 @@ type RunResult struct {
 	Allocs int64
 	// NativeWork is synthetic native cost (database round-trips).
 	NativeWork int64
-}
-
-// Run executes the program without instrumentation.
-//
-// Deprecated: use RunContext, which adds cancellation. This wrapper
-// remains so existing callers compile.
-func (p *Program) Run() (*RunResult, error) {
-	return p.RunContext(context.Background())
 }
 
 // RunContext executes the program without instrumentation under ctx; the
@@ -307,17 +265,17 @@ func (p *Program) RunContext(ctx context.Context) (*RunResult, error) {
 type ProfileOptions struct {
 	// Slots is the number of context slots per instruction (the paper's s;
 	// 0 means 16).
-	Slots int
+	Slots int `json:"slots,omitempty"`
 	// Traditional switches from thin to traditional dynamic slicing
 	// (base-pointer dependences included) — mainly for ablations.
-	Traditional bool
+	Traditional bool `json:"traditional,omitempty"`
 	// TreeHeight is the reference-tree height n for n-RAC/n-RAB (0 = 4,
 	// the paper's choice).
-	TreeHeight int
+	TreeHeight int `json:"tree_height,omitempty"`
 	// TrackControl includes the cost of the closest enclosing control
 	// decision in each value's cost (§3.2's "considering vs ignoring
 	// control decision making" alternative).
-	TrackControl bool
+	TrackControl bool `json:"track_control,omitempty"`
 	// StaticPrune runs the static pre-analysis first and skips Gcost event
 	// emission for instructions it proves irrelevant to heap value flow
 	// (dead stores and pure base-pointer arithmetic — see
@@ -326,20 +284,12 @@ type ProfileOptions struct {
 	// superset of the per-method analysis. Sound only for thin slicing, so
 	// it is ignored when Traditional is set. Rankings are unchanged; the
 	// trace just gets cheaper.
-	StaticPrune bool
+	StaticPrune bool `json:"prune,omitempty"`
 	// AnalysisWorkers bounds the ranking worker pool (0 = all CPUs).
-	AnalysisWorkers int
+	AnalysisWorkers int `json:"-"`
 	// MaxSteps bounds the profiled execution to this many instruction
 	// instances (0 = unlimited); exceeding it fails the run.
-	MaxSteps int64
-}
-
-// Profile runs the program under the cost-benefit profiler.
-//
-// Deprecated: use ProfileContext, which adds cancellation and functional
-// options. This wrapper remains so existing callers compile.
-func (p *Program) Profile(opts ProfileOptions) (*Profile, error) {
-	return p.profile(context.Background(), opts)
+	MaxSteps int64 `json:"-"`
 }
 
 // ProfileContext runs the program under the cost-benefit profiler with

@@ -101,12 +101,6 @@ func DefaultAnalysisOptions() AnalysisOptions {
 // options win.
 type AnalysisOption func(*AnalysisOptions)
 
-// SliceOption is the static slice's name for the shared analysis option.
-type SliceOption = AnalysisOption
-
-// AuditOption is the static audit's name for the shared analysis option.
-type AuditOption = AnalysisOption
-
 // WithMode selects call-graph construction: "cha" or "rta" (default).
 func WithMode(mode string) AnalysisOption {
 	return func(o *AnalysisOptions) { o.Mode = mode }
@@ -136,19 +130,3 @@ func applyAnalysisOptions(opts []AnalysisOption) AnalysisOptions {
 	}
 	return o
 }
-
-// WithAuditMode selects call-graph construction for the audit.
-//
-// Deprecated: use WithMode — slice and audit share one option vocabulary.
-func WithAuditMode(mode string) AuditOption { return WithMode(mode) }
-
-// WithAuditObjCtx qualifies allocation sites by receiver-object context
-// during the audit.
-//
-// Deprecated: use WithObjCtx — slice and audit share one option vocabulary.
-func WithAuditObjCtx() AuditOption { return WithObjCtx() }
-
-// WithAuditTop bounds the ranked site list in the audit report.
-//
-// Deprecated: use WithTop — slice and audit share one option vocabulary.
-func WithAuditTop(n int) AuditOption { return WithTop(n) }

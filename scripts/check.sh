@@ -25,6 +25,12 @@ go test -shuffle=on ./...
 # internal packages (costben, profiler, depgraph); `go test ./...` skips it,
 # so vet and test it here to catch an API removal that would break it.
 (cd perfbench && go vet ./... && go test -count=1 .)
+# Wire-format and content-address gate, run by name so a drift names
+# itself: the SDK acceptance batch, the /v2 error-envelope tables, the
+# job-vs-synchronous byte identity, the spec hash's field coverage, the
+# SDK-vs-server wire keys and the canonical-form sharing of equivalent
+# requests.
+go test ./client ./internal/server ./internal/jobs -run 'Acceptance|Envelope|Compat|Synchronous|Hash|Wire|Equivalent' -count=1
 # Public-API pin: the exported surface of the root package must match the
 # checked-in golden (scripts/apisurface.golden).
 sh scripts/apisurface.sh

@@ -8,7 +8,7 @@
 //	workbench -profile eclipse -scale 2 -s 16 -top 10
 //	workbench -slice eclipse -mode rta -objctx -top 10
 //	workbench -audit eclipse -mode rta -top 10
-//	workbench -vet bloat -engine ssa
+//	workbench -vet bloat
 //	workbench -ssa fop -m TreeGen.gen
 //	workbench -dump bloat > bloat.mj
 package main
@@ -39,7 +39,6 @@ func main() {
 	top := flag.Int("top", lowutil.DefaultTop, "findings to print")
 	mode := flag.String("mode", "rta", "slice call-graph construction: cha or rta")
 	objctx := flag.Bool("objctx", false, "slice with one level of receiver-object context")
-	engine := flag.String("engine", "ssa", "vet engine: ssa or dense")
 	method := flag.String("m", "", "restrict -ssa to one method (Class.method)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
@@ -114,10 +113,7 @@ func main() {
 		fmt.Print(rep)
 	case *vetName != "":
 		prog := compile(*vetName, *scale)
-		findings, err := prog.VetEngine(*engine)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		findings := prog.Vet()
 		if len(findings) == 0 {
 			fmt.Println("no findings")
 			return

@@ -2,10 +2,11 @@
 // inline caches over the dense interned Gcost, the frozen cost-benefit DP
 // and the condensed deadness analysis — computes what the paper defines:
 // on every workload its Gcost and metrics equal those of the deliberately
-// naive reference in internal/oracle. Also: the handler-table and switch
-// interpreter loops agree unprofiled, two concurrent profiles share no
-// state, and a fuzz harness drives inline-cache invalidation under
-// receiver-class rebinding.
+// naive reference in internal/oracle, which evaluates the IR itself. Also:
+// the unprofiled VM and the oracle agree on output and counters, on
+// completing runs and on runs that end in each VM error kind, two
+// concurrent profiles share no state, and a fuzz harness drives
+// inline-cache invalidation under receiver-class rebinding.
 package lowutil
 
 import (
@@ -16,6 +17,7 @@ import (
 	"testing"
 
 	"lowutil/internal/interp"
+	"lowutil/internal/ir"
 	"lowutil/internal/oracle"
 	"lowutil/internal/oracle/oraclecheck"
 	"lowutil/internal/workloads"
@@ -52,23 +54,37 @@ func compileWorkload(t testing.TB, w *workloads.Workload, scale int) *Program {
 
 // checkAgainstOracle profiles prog through the facade with opts and
 // requires its Gcost, every cost-benefit metric at the run's tree height,
-// and the deadness measurement to equal the oracle's, which is built on the
-// switch interpreter loop from the same options.
-func checkAgainstOracle(t testing.TB, prog *Program, opts ...ProfileOption) {
+// and the deadness measurement to equal those of the oracle's own
+// evaluation under the same options, which it returns.
+func checkAgainstOracle(t testing.TB, prog *Program, opts ...ProfileOption) *oracle.Result {
 	t.Helper()
 	profile, err := prog.ProfileContext(context.Background(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, steps, err := oracle.Profile(prog.prog, applyProfileOptions(opts).Slots, 0)
-	if err != nil {
+	want := oracle.Run(prog.prog, applyProfileOptions(opts).Slots, 0)
+	if want.Err != "" {
+		t.Fatal(want.Err)
+	}
+	if want.Steps != profile.Steps() {
+		t.Fatalf("steps: oracle %d, engine %d", want.Steps, profile.Steps())
+	}
+	if err := oraclecheck.All(want.G, profile.prof.G, want.Steps, profile.height); err != nil {
 		t.Fatal(err)
 	}
-	if steps != profile.Steps() {
-		t.Fatalf("steps: oracle %d, engine %d", steps, profile.Steps())
+	return want
+}
+
+// agree runs prog unprofiled on the VM and requires the oracle's evaluation
+// want to match it (see oraclecheck.Machine).
+func agree(t testing.TB, prog *ir.Program, maxSteps int64, want *oracle.Result) {
+	t.Helper()
+	m := interp.New(prog)
+	if maxSteps > 0 {
+		m.MaxSteps = maxSteps
 	}
-	if err := oraclecheck.All(want, profile.prof.G, steps, profile.height); err != nil {
-		t.Fatal(err)
+	if err := oraclecheck.Machine(want, m, m.Run()); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -100,32 +116,57 @@ func TestEngineDifferentialOptions(t *testing.T) {
 	}
 }
 
-// TestInterpreterDifferentialAllWorkloads pins the uninstrumented engines
-// against each other: handler-table dispatch must execute every workload to
-// the same output, step count, and allocation count as the legacy switch.
+// TestInterpreterDifferentialAllWorkloads pins the uninstrumented VM
+// against the oracle's own evaluation: every workload must print the same
+// output with the same step, allocation and native-work counts.
 func TestInterpreterDifferentialAllWorkloads(t *testing.T) {
 	for _, w := range diffWorkloads(t) {
 		t.Run(w.Name, func(t *testing.T) {
-			src, err := w.Compile(1)
+			prog, err := w.Compile(1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m1 := interp.New(src)
-			if err := m1.Run(); err != nil {
+			agree(t, prog, 0, oracle.Run(prog, 16, 0))
+		})
+	}
+}
+
+// TestErrorPathParity ends one small program in each VM error kind a
+// well-typed program can reach; the VM and the oracle must agree on the
+// kind, on the output printed before it and on the step count, which
+// includes the failing instruction.
+func TestErrorPathParity(t *testing.T) {
+	const step = `int s = 0; for (int i = 0; i < 100000; i = i + 1) { s = s + i; } print(s);`
+	cases := []struct {
+		name, kind, body string
+		maxSteps         int64
+	}{
+		{"null-field", "null dereference", `print(1); P p = null; print(p.x);`, 0},
+		{"null-call", "null dereference", `P p = new P(); print(p.get()); p = null; print(p.get());`, 0},
+		{"null-length", "null dereference", `int[] a = null; print(2); print(a.length);`, 0},
+		{"index", "index out of bounds", `int[] a = new int[3]; a[2] = 7; print(a[2]); print(a[3]);`, 0},
+		{"negative-length", "index out of bounds", `int n = 2 - 5; print(n); int[] a = new int[n];`, 0},
+		{"div", "division by zero", `int z = rand(1); print(7 / (z + 1)); print(7 / z);`, 0},
+		{"rem", "division by zero", `int z = rand(1); print(7 % (z + 2)); print(7 % z);`, 0},
+		{"step-limit", "step limit exceeded", step, 500},
+		{"stack-overflow", "stack overflow", `print(3); print(deep(0));`, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			prog, err := Compile(`
+class P { int x; int get() { return this.x + 1; } }
+class Main {
+  static int deep(int n) { return deep(n + 1) + 1; }
+  static void main() { ` + c.body + ` }
+}`)
+			if err != nil {
 				t.Fatal(err)
 			}
-			m2 := interp.New(src)
-			m2.LegacyDispatch = true
-			if err := m2.Run(); err != nil {
-				t.Fatal(err)
+			want := oracle.Run(prog.prog, 16, c.maxSteps)
+			if string(want.Err) != c.kind {
+				t.Fatalf("oracle ended in %q, want %q", want.Err, c.kind)
 			}
-			if fmt.Sprint(m1.Output) != fmt.Sprint(m2.Output) {
-				t.Errorf("output differs: %v vs %v", m1.Output, m2.Output)
-			}
-			if m1.Steps != m2.Steps || m1.Allocs != m2.Allocs || m1.NativeWork != m2.NativeWork {
-				t.Errorf("counters differ: steps %d/%d allocs %d/%d native %d/%d",
-					m1.Steps, m2.Steps, m1.Allocs, m2.Allocs, m1.NativeWork, m2.NativeWork)
-			}
+			agree(t, prog.prog, c.maxSteps, want)
 		})
 	}
 }
@@ -209,9 +250,8 @@ class Main {
 
 // FuzzInlineCacheInvalidation drives the inline-cache invalidation protocol
 // with arbitrary receiver-class rebinding sequences. For every sequence the
-// handler-table and switch interpreter loops must print the same output
-// and take the same number of steps, and the profiled run must agree with
-// the oracle (itself run on the switch loop).
+// profiled run must agree with the oracle's evaluation, and the unprofiled
+// VM must print the same output with the same counters.
 func FuzzInlineCacheInvalidation(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0, 1, 2})
@@ -226,19 +266,6 @@ func FuzzInlineCacheInvalidation(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated program failed to compile: %v", err)
 		}
-		run := func(legacy bool) (string, int64) {
-			m := interp.New(prog.prog)
-			m.LegacyDispatch = legacy
-			if err := m.Run(); err != nil {
-				t.Fatal(err)
-			}
-			return fmt.Sprint(m.Output), m.Steps
-		}
-		out, steps := run(false)
-		lout, lsteps := run(true)
-		if out != lout || steps != lsteps {
-			t.Fatalf("engines diverge on seq %v: %q/%d vs %q/%d", seq, out, steps, lout, lsteps)
-		}
-		checkAgainstOracle(t, prog)
+		agree(t, prog.prog, 0, checkAgainstOracle(t, prog))
 	})
 }

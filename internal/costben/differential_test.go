@@ -66,14 +66,14 @@ func TestFrozenMatchesLegacyAllWorkloads(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			g := profileWorkload(t, name)
-			want, _, err := oracle.Profile(g.Prog, 16, 0)
-			if err != nil {
+			want := oracle.Run(g.Prog, 16, 0)
+			if want.Err != "" {
+				t.Fatal(want.Err)
+			}
+			if err := oraclecheck.Graph(want.G, g); err != nil {
 				t.Fatal(err)
 			}
-			if err := oraclecheck.Graph(want, g); err != nil {
-				t.Fatal(err)
-			}
-			if err := oraclecheck.Metrics(want, g, costben.NewAnalysis(g), costben.DefaultTreeHeight); err != nil {
+			if err := oraclecheck.Metrics(want.G, g, costben.NewAnalysis(g), costben.DefaultTreeHeight); err != nil {
 				t.Fatal(err)
 			}
 		})

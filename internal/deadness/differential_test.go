@@ -39,11 +39,11 @@ func TestFrozenMatchesLegacyAllWorkloads(t *testing.T) {
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := oracle.Profile(prog, 16, 0)
-			if err != nil {
-				t.Fatal(err)
+			want := oracle.Run(prog, 16, 0)
+			if want.Err != "" {
+				t.Fatal(want.Err)
 			}
-			if err := oraclecheck.Deadness(want, p.G, m.Steps); err != nil {
+			if err := oraclecheck.Deadness(want.G, p.G, m.Steps); err != nil {
 				t.Fatal(err)
 			}
 		})

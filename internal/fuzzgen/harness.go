@@ -45,11 +45,11 @@ type Invariant struct {
 // Each entry mirrors an invariant the fixed-workload test suites prove:
 //
 //	compiles               the generator's contract: output is well-formed MJ
-//	interp-parity          handler-table vs switch dispatch: output/steps/
-//	                       allocs/native
+//	interp-parity          VM vs the oracle's own IR evaluation: error kind/
+//	                       output/steps/allocs/native
 //	profile-parity         profiler (fast path and facade configuration) vs
-//	                       the definition-level oracle: Gcost, HRAC/HRAB,
-//	                       RAC/RAB, n-RAC/n-RAB, IPD/IPP/NLD
+//	                       the Gcost the oracle builds as it evaluates:
+//	                       Gcost, HRAC/HRAB, RAC/RAB, n-RAC/n-RAB, IPD/IPP/NLD
 //	slice-containment-cha  dynamic Gcost ⊆ static slice under CHA
 //	slice-containment-rta  dynamic Gcost ⊆ static slice under RTA+ObjCtx
 //	prune-ranking          static prune preserves the per-site ranking
@@ -99,6 +99,8 @@ type caseRun struct {
 	dyn    *depgraph.Graph
 	dynErr error
 
+	want *oracle.Result
+
 	anCHA    *interproc.Analysis
 	anRTAObj *interproc.Analysis
 	anRTA    *interproc.Analysis
@@ -146,6 +148,19 @@ func (c *caseRun) dynGraph() (*depgraph.Graph, error) {
 	return c.dyn, c.dynErr
 }
 
+// oracle evaluates the program once on the oracle (16 context slots) and
+// caches the result for the parity invariants.
+func (c *caseRun) oracle() (*oracle.Result, error) {
+	prog, err := c.irProg()
+	if err != nil {
+		return nil, errSkip
+	}
+	if c.want == nil {
+		c.want = oracle.Run(prog, 16, maxFuzzSteps)
+	}
+	return c.want, nil
+}
+
 func (c *caseRun) analysis(which *interproc.Analysis, cfg interproc.Config) (*interproc.Analysis, error) {
 	if which != nil {
 		return which, nil
@@ -190,35 +205,13 @@ func checkCompiles(c *caseRun) error {
 }
 
 func checkInterpParity(c *caseRun) error {
-	prog, err := c.irProg()
+	want, err := c.oracle()
 	if err != nil {
-		return errSkip
+		return err
 	}
-	run := func(switchLoop bool) (*interp.Machine, error) {
-		m := interp.New(prog)
-		m.LegacyDispatch = switchLoop
-		m.MaxSteps = maxFuzzSteps
-		if err := m.Run(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-	tab, err := run(false)
-	if err != nil {
-		return fmt.Errorf("handler-table run failed: %v", err)
-	}
-	sw, err := run(true)
-	if err != nil {
-		return fmt.Errorf("switch run failed: %v", err)
-	}
-	if fmt.Sprint(tab.Output) != fmt.Sprint(sw.Output) {
-		return fmt.Errorf("output differs: handler-table %v vs switch %v", tab.Output, sw.Output)
-	}
-	if tab.Steps != sw.Steps || tab.Allocs != sw.Allocs || tab.NativeWork != sw.NativeWork {
-		return fmt.Errorf("counters differ: steps %d/%d allocs %d/%d native %d/%d",
-			tab.Steps, sw.Steps, tab.Allocs, sw.Allocs, tab.NativeWork, sw.NativeWork)
-	}
-	return nil
+	m := interp.New(c.prog)
+	m.MaxSteps = maxFuzzSteps
+	return oraclecheck.Machine(want, m, m.Run())
 }
 
 // profileBundle captures every engine-sensitive profile output, mirroring
@@ -257,14 +250,14 @@ func (c *caseRun) profile() (*profileBundle, error) {
 // its inlined fast path (the cached dynamic Gcost) and in the facade's
 // configuration, whose context-conflict tracking forces the slow path.
 func checkProfileParity(c *caseRun) error {
-	prog, err := c.irProg()
+	want, err := c.oracle()
 	if err != nil {
-		return errSkip
+		return err
 	}
-	want, steps, err := oracle.Profile(prog, 16, maxFuzzSteps)
-	if err != nil {
-		return fmt.Errorf("oracle run failed: %v", err)
+	if want.Err != "" {
+		return fmt.Errorf("oracle run failed: %s", want.Err)
 	}
+	prog, steps := c.prog, want.Steps
 	fast, err := c.dynGraph()
 	if err != nil {
 		return err
@@ -279,10 +272,10 @@ func checkProfileParity(c *caseRun) error {
 	if m.Steps != steps {
 		return fmt.Errorf("steps: oracle %d, profiled %d", steps, m.Steps)
 	}
-	if err := oraclecheck.All(want, fast, steps, costben.DefaultTreeHeight); err != nil {
+	if err := oraclecheck.All(want.G, fast, steps, costben.DefaultTreeHeight); err != nil {
 		return fmt.Errorf("fast path: %v", err)
 	}
-	if err := oraclecheck.All(want, p.G, steps, costben.DefaultTreeHeight); err != nil {
+	if err := oraclecheck.All(want.G, p.G, steps, costben.DefaultTreeHeight); err != nil {
 		return fmt.Errorf("slow path: %v", err)
 	}
 	return nil

@@ -1,12 +1,12 @@
 package interp
 
-// Handler-table dispatch. Instead of re-decoding each ir.Instr through the
-// 200-line switch in Machine.step on every execution, methods get a side
-// table of pre-resolved dinstr records: one handler function per opcode
-// variant (per-BinOp arithmetic, per-Cmp branches, static vs virtual calls)
-// with operands, field/static slots, branch targets and immediates already
-// decoded. The main loop then runs d.fn(m, fr, d) — one indirect call, no
-// opcode switch.
+// Handler-table dispatch, the machine's only interpreter loop. Instead of
+// re-decoding each ir.Instr through an opcode switch on every execution,
+// methods get a side table of pre-resolved dinstr records: one handler
+// function per opcode variant (per-BinOp arithmetic, per-Cmp branches,
+// static vs virtual calls) with operands, field/static slots, branch
+// targets and immediates already decoded. The main loop then runs
+// d.fn(m, fr, d) — one indirect call, no opcode switch.
 //
 // Decoded tables are immutable, so they are shared by every machine running
 // the same program (cached on ir.Program.TabCache, built under a mutex).
@@ -18,9 +18,6 @@ package interp
 // Virtual call sites carry a monomorphic inline cache keyed by the
 // receiver's dynamic class, with a bounded polymorphic fallback and a
 // megamorphic regime that degrades to the plain name lookup.
-//
-// The legacy switch interpreter is kept behind Machine.LegacyDispatch as the
-// differential reference.
 
 import (
 	"sync"
@@ -275,9 +272,8 @@ func buildTab(meth *ir.Method, prune []bool) mtab {
 	return mtab{tab: tab, vcount: vcount}
 }
 
-// traced reports whether the event for d should reach the tracer,
-// replicating the legacy prologue: pruned instructions are counted before
-// execution, traced ones emit after.
+// traced reports whether the event for d should reach the tracer: pruned
+// instructions are counted before execution, traced ones emit after.
 func (m *Machine) traced(d *dinstr) bool {
 	if m.Tracer == nil {
 		return false
@@ -719,8 +715,7 @@ func hArrayLen(m *Machine, fr *Frame, d *dinstr) error {
 }
 
 // finishIf branches and reports the branch event. The event fires after a
-// taken branch retargets PC but before a fall-through advances it, matching
-// the legacy switch ordering exactly.
+// taken branch retargets PC but before a fall-through advances it.
 func finishIf(m *Machine, fr *Frame, d *dinstr, traced, taken bool) error {
 	if taken {
 		fr.PC = int(d.target)
@@ -883,8 +878,7 @@ func (m *Machine) dispatchSlow(d *dinstr, ic *icSite, cls *ir.Class) *ir.Method 
 	return target
 }
 
-// pushCall performs the common tail of both call handlers, mirroring
-// Machine.doCall. Frames come from the machine's pool: a frame popped by a
+// pushCall performs the common tail of both call handlers. Frames come from the machine's pool: a frame popped by a
 // return handler is dead (the machine never revisits it, and tracers key
 // their state off the live frame's Shadow), so it is recycled here instead
 // of allocating a frame and locals slice per call.

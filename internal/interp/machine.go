@@ -48,10 +48,6 @@ type Machine struct {
 	// Run/CallMethod: the handler-table dispatcher folds it into the
 	// per-method tables it builds on first entry.
 	Prune []bool
-	// LegacyDispatch selects the original switch-based interpreter loop
-	// instead of the pre-decoded handler tables. It is the differential
-	// reference for the handler-table + inline-cache engine.
-	LegacyDispatch bool
 
 	// Statics holds static-field storage, indexed by StaticField.Slot.
 	Statics []Value
@@ -200,9 +196,7 @@ func (m *Machine) Run() error {
 		Locals: make([]Value, m.Prog.Main.NumLocals),
 		RetDst: -1,
 	}
-	if !m.LegacyDispatch {
-		entry.tab, entry.ics = m.methodTab(entry.Method)
-	}
+	entry.tab, entry.ics = m.methodTab(entry.Method)
 	m.frames = append(m.frames[:0], entry)
 	if m.Tracer != nil {
 		m.Tracer.EnterMethod(entry, nil)
@@ -231,9 +225,7 @@ func (m *Machine) CallMethod(method *ir.Method, args ...Value) (Value, error) {
 		return Null, fmt.Errorf("interp: %s takes %d args, got %d", method.QualifiedName(), method.Params, len(args))
 	}
 	fr := &Frame{Method: method, Locals: make([]Value, method.NumLocals), RetDst: -1}
-	if !m.LegacyDispatch {
-		fr.tab, fr.ics = m.methodTab(method)
-	}
+	fr.tab, fr.ics = m.methodTab(method)
 	copy(fr.Locals, args)
 	base := len(m.frames)
 	m.frames = append(m.frames, fr)
@@ -254,9 +246,6 @@ func (m *Machine) loop() error { return m.loopUntil(0) }
 
 // loopUntil runs until the frame stack shrinks below base.
 func (m *Machine) loopUntil(base int) error {
-	if m.LegacyDispatch {
-		return m.loopLegacy(base)
-	}
 	prevBase := m.loopBase
 	m.loopBase = base
 	defer func() { m.loopBase = prevBase }()
@@ -288,290 +277,6 @@ func (m *Machine) loopUntil(base int) error {
 		}
 	}
 	return nil
-}
-
-// loopLegacy is the original switch-dispatch interpreter loop.
-func (m *Machine) loopLegacy(base int) error {
-	var done <-chan struct{}
-	if m.Ctx != nil {
-		done = m.Ctx.Done()
-	}
-	for len(m.frames) > base {
-		fr := m.frames[len(m.frames)-1]
-		if fr.PC < 0 || fr.PC >= len(fr.Method.Code) {
-			return m.fail(ErrType, nil, fr, "pc %d out of range in %s", fr.PC, fr.Method.QualifiedName())
-		}
-		in := &fr.Method.Code[fr.PC]
-		m.Steps++
-		if m.Steps > m.MaxSteps {
-			return m.fail(ErrStepLimit, in, fr, "after %d steps", m.Steps-1)
-		}
-		if done != nil && m.Steps&cancelCheckMask == 0 {
-			select {
-			case <-done:
-				err := m.fail(ErrCanceled, in, fr, "after %d steps", m.Steps)
-				err.(*VMError).Cause = m.Ctx.Err()
-				return err
-			default:
-			}
-		}
-		if err := m.step(fr, in, base); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// step executes one instruction. It advances fr.PC itself.
-func (m *Machine) step(fr *Frame, in *ir.Instr, base int) error {
-	loc := fr.Locals
-	advance := true
-	var ev Event
-	traced := m.Tracer != nil
-	if traced && m.Prune != nil && in.ID < len(m.Prune) && m.Prune[in.ID] {
-		traced = false
-		m.PrunedEvents++
-	}
-
-	switch in.Op {
-	case ir.OpConst:
-		if in.IsNull {
-			loc[in.Dst] = Null
-		} else {
-			loc[in.Dst] = IntVal(in.Imm)
-		}
-		ev.Val = loc[in.Dst]
-
-	case ir.OpMove:
-		loc[in.Dst] = loc[in.A]
-		ev.Val = loc[in.Dst]
-
-	case ir.OpBin:
-		a, b := loc[in.A], loc[in.B]
-		if a.K == ir.KindRef || b.K == ir.KindRef {
-			return m.fail(ErrType, in, fr, "arithmetic on reference")
-		}
-		var r int64
-		switch in.Bin {
-		case ir.Add:
-			r = a.I + b.I
-		case ir.Sub:
-			r = a.I - b.I
-		case ir.Mul:
-			r = a.I * b.I
-		case ir.Div:
-			if b.I == 0 {
-				return m.fail(ErrDivZero, in, fr, "")
-			}
-			r = a.I / b.I
-		case ir.Rem:
-			if b.I == 0 {
-				return m.fail(ErrDivZero, in, fr, "")
-			}
-			r = a.I % b.I
-		case ir.And:
-			r = a.I & b.I
-		case ir.Or:
-			r = a.I | b.I
-		case ir.Xor:
-			r = a.I ^ b.I
-		case ir.Shl:
-			r = a.I << (uint64(b.I) & 63)
-		case ir.Shr:
-			r = a.I >> (uint64(b.I) & 63)
-		default:
-			return m.fail(ErrType, in, fr, "bad binop %v", in.Bin)
-		}
-		loc[in.Dst] = IntVal(r)
-		ev.Val = loc[in.Dst]
-
-	case ir.OpNeg:
-		a := loc[in.A]
-		if a.K == ir.KindRef {
-			return m.fail(ErrType, in, fr, "negation of reference")
-		}
-		loc[in.Dst] = IntVal(-a.I)
-		ev.Val = loc[in.Dst]
-
-	case ir.OpNot:
-		a := loc[in.A]
-		if a.Truthy() {
-			loc[in.Dst] = IntVal(0)
-		} else {
-			loc[in.Dst] = IntVal(1)
-		}
-		ev.Val = loc[in.Dst]
-
-	case ir.OpNew:
-		o := m.NewObject(in.Class, in.AllocSite)
-		m.AllocsBySite[in.AllocSite]++
-		loc[in.Dst] = RefVal(o)
-		ev.New = o
-		ev.Val = loc[in.Dst]
-
-	case ir.OpNewArray:
-		n := loc[in.A]
-		if n.K == ir.KindRef {
-			return m.fail(ErrType, in, fr, "array length is a reference")
-		}
-		o, err := m.newArray(in.Elem, n.I, in.AllocSite)
-		if err != nil {
-			return m.fail(ErrBounds, in, fr, "%v", err)
-		}
-		if in.Elem.IsRef() {
-			for i := range o.Elems {
-				o.Elems[i] = Null
-			}
-		}
-		m.AllocsBySite[in.AllocSite]++
-		loc[in.Dst] = RefVal(o)
-		ev.New = o
-		ev.Val = loc[in.Dst]
-
-	case ir.OpLoadField:
-		base, err := m.refOperand(in, fr, in.A, false)
-		if err != nil {
-			return err
-		}
-		if base.IsArray() || in.Field.Slot >= len(base.Fields) {
-			return m.fail(ErrType, in, fr, "object %s has no field %s", base, in.Field.QualifiedName())
-		}
-		loc[in.Dst] = base.Fields[in.Field.Slot]
-		ev.Base = base
-		ev.Val = loc[in.Dst]
-
-	case ir.OpStoreField:
-		base, err := m.refOperand(in, fr, in.A, false)
-		if err != nil {
-			return err
-		}
-		if base.IsArray() || in.Field.Slot >= len(base.Fields) {
-			return m.fail(ErrType, in, fr, "object %s has no field %s", base, in.Field.QualifiedName())
-		}
-		base.Fields[in.Field.Slot] = loc[in.B]
-		ev.Base = base
-		ev.Val = loc[in.B]
-
-	case ir.OpLoadStatic:
-		loc[in.Dst] = m.Statics[in.Static.Slot]
-		ev.Val = loc[in.Dst]
-
-	case ir.OpStoreStatic:
-		m.Statics[in.Static.Slot] = loc[in.A]
-		ev.Val = loc[in.A]
-
-	case ir.OpALoad:
-		arr, err := m.refOperand(in, fr, in.A, true)
-		if err != nil {
-			return err
-		}
-		idx := loc[in.B]
-		if idx.K == ir.KindRef {
-			return m.fail(ErrType, in, fr, "array index is a reference")
-		}
-		if idx.I < 0 || idx.I >= int64(len(arr.Elems)) {
-			return m.fail(ErrBounds, in, fr, "index %d, length %d", idx.I, len(arr.Elems))
-		}
-		loc[in.Dst] = arr.Elems[idx.I]
-		ev.Base, ev.Index = arr, idx.I
-		ev.Val = loc[in.Dst]
-
-	case ir.OpAStore:
-		arr, err := m.refOperand(in, fr, in.A, true)
-		if err != nil {
-			return err
-		}
-		idx := loc[in.B]
-		if idx.K == ir.KindRef {
-			return m.fail(ErrType, in, fr, "array index is a reference")
-		}
-		if idx.I < 0 || idx.I >= int64(len(arr.Elems)) {
-			return m.fail(ErrBounds, in, fr, "index %d, length %d", idx.I, len(arr.Elems))
-		}
-		arr.Elems[idx.I] = loc[in.C2]
-		ev.Base, ev.Index = arr, idx.I
-		ev.Val = loc[in.C2]
-
-	case ir.OpArrayLen:
-		arr, err := m.refOperand(in, fr, in.A, true)
-		if err != nil {
-			return err
-		}
-		loc[in.Dst] = IntVal(int64(len(arr.Elems)))
-		ev.Base = arr
-		ev.Val = loc[in.Dst]
-
-	case ir.OpIf:
-		taken, err := m.compare(in, fr)
-		if err != nil {
-			return err
-		}
-		if taken {
-			fr.PC = in.Target
-			advance = false
-		}
-		ev.Taken = taken
-
-	case ir.OpGoto:
-		fr.PC = in.Target
-		return nil // no tracer event for pure control transfer
-
-	case ir.OpInstanceOf:
-		v := loc[in.A]
-		if v.K != ir.KindRef {
-			return m.fail(ErrType, in, fr, "instanceof on non-reference")
-		}
-		res := int64(0)
-		if v.Ref != nil && !v.Ref.IsArray() && v.Ref.Class.IsSubclassOf(in.Class) {
-			res = 1
-		}
-		loc[in.Dst] = IntVal(res)
-		ev.Val = loc[in.Dst]
-
-	case ir.OpCall:
-		return m.doCall(fr, in)
-
-	case ir.OpReturn:
-		return m.doReturn(fr, in, base)
-
-	case ir.OpNative:
-		v, err := m.doNative(fr, in)
-		if err != nil {
-			return err
-		}
-		if in.Dst >= 0 {
-			loc[in.Dst] = v
-		}
-		ev.Val = v
-
-	default:
-		return m.fail(ErrType, in, fr, "unknown opcode")
-	}
-
-	if traced {
-		ev.In, ev.Frame = in, fr
-		m.Tracer.Exec(&ev)
-	}
-	if advance {
-		fr.PC++
-	}
-	return nil
-}
-
-// refOperand loads a non-null reference from slot s, failing with the
-// appropriate VM error otherwise. wantArray selects array vs instance.
-func (m *Machine) refOperand(in *ir.Instr, fr *Frame, s int, wantArray bool) (*Object, error) {
-	v := fr.Locals[s]
-	if v.K != ir.KindRef {
-		return nil, m.fail(ErrType, in, fr, "expected reference in slot %d, got int", s)
-	}
-	if v.Ref == nil {
-		return nil, m.fail(ErrNullDeref, in, fr, "")
-	}
-	if wantArray && !v.Ref.IsArray() {
-		return nil, m.fail(ErrType, in, fr, "expected array, got %s", v.Ref)
-	}
-	return v.Ref, nil
 }
 
 func (m *Machine) compare(in *ir.Instr, fr *Frame) (bool, error) {
@@ -614,75 +319,6 @@ func (m *Machine) compare(in *ir.Instr, fr *Frame) (bool, error) {
 		return a.I >= b.I, nil
 	}
 	return false, m.fail(ErrType, in, fr, "bad comparison")
-}
-
-func (m *Machine) doCall(fr *Frame, in *ir.Instr) error {
-	callee := in.Callee
-	var recv *Object
-	if !callee.Static {
-		v := fr.Locals[in.Args[0]]
-		if v.K != ir.KindRef {
-			return m.fail(ErrType, in, fr, "receiver is not a reference")
-		}
-		if v.Ref == nil {
-			return m.fail(ErrNullDeref, in, fr, "call %s on null", callee.QualifiedName())
-		}
-		recv = v.Ref
-		if recv.IsArray() {
-			return m.fail(ErrType, in, fr, "method call on array")
-		}
-		// Virtual dispatch by name on the dynamic class.
-		if target := recv.Class.LookupMethod(callee.Name); target != nil {
-			callee = target
-		} else {
-			return m.fail(ErrType, in, fr, "class %s has no method %s", recv.Class.Name, callee.Name)
-		}
-	}
-	if len(m.frames) >= m.MaxDepth {
-		return m.fail(ErrStackOverflow, in, fr, "depth %d", len(m.frames))
-	}
-	if m.Tracer != nil {
-		m.Tracer.BeforeCall(in, fr, callee, recv)
-	}
-	nf := &Frame{
-		Method: callee,
-		Locals: make([]Value, callee.NumLocals),
-		RetDst: in.Dst,
-		CallIn: in,
-	}
-	for i, a := range in.Args {
-		nf.Locals[i] = fr.Locals[a]
-	}
-	m.frames = append(m.frames, nf)
-	if m.Tracer != nil {
-		m.Tracer.EnterMethod(nf, recv)
-	}
-	return nil
-}
-
-func (m *Machine) doReturn(fr *Frame, in *ir.Instr, base int) error {
-	if m.Tracer != nil {
-		m.Tracer.BeforeReturn(in, fr)
-	}
-	var ret Value
-	if in.HasA {
-		ret = fr.Locals[in.A]
-	}
-	m.frames = m.frames[:len(m.frames)-1]
-	if len(m.frames) <= base {
-		m.lastReturn = ret
-		return nil
-	}
-	caller := m.frames[len(m.frames)-1]
-	callIn := fr.CallIn
-	if in.HasA && fr.RetDst >= 0 {
-		caller.Locals[fr.RetDst] = ret
-	}
-	if m.Tracer != nil {
-		m.Tracer.AfterCall(callIn, caller, in.HasA && fr.RetDst >= 0)
-	}
-	caller.PC++
-	return nil
 }
 
 func (m *Machine) doNative(fr *Frame, in *ir.Instr) (Value, error) {

@@ -1,16 +1,14 @@
-// Package oracle is a deliberately naive reference for the cost-benefit
-// profiler: an interp.Tracer that builds Gcost straight from the rules of
-// Figure 4 of the paper, in plain maps, and reads HRAC/HRAB, RAC/RAB,
-// n-RAC/n-RAB (Definitions 5–7) and IPD/IPP/NLD (§4.1) off it by one graph
-// walk per definition. It imports only the interpreter and the IR, none of
-// the engine it checks, and only tests and the fuzzer use it (see package
-// oraclecheck).
+// Package oracle is a deliberately naive reference for the VM and the
+// cost-benefit profiler. Run evaluates an IR program itself — its own
+// frames, heap, comparisons, virtual dispatch, natives and error kinds — and
+// builds Gcost as it goes, straight from the rules of Figure 4 of the paper,
+// in plain maps; metrics.go reads HRAC/HRAB, RAC/RAB, n-RAC/n-RAB
+// (Definitions 5–7) and IPD/IPP/NLD (§4.1) off that graph by one walk per
+// definition. It imports only the IR, none of the interpreter or profiler it
+// checks, and only tests and the fuzzer use it (see package oraclecheck).
 package oracle
 
-import (
-	"lowutil/internal/interp"
-	"lowutil/internal/ir"
-)
+import "lowutil/internal/ir"
 
 // Node is an abstract instruction instance: a static instruction ID plus a
 // domain element (the context slot h(c), or -1 for context-free consumers).
@@ -49,182 +47,97 @@ func Add[K comparable](m map[K]Set, k K, v Node) {
 	m[k][v] = true
 }
 
-func get[K comparable](m map[K]Node, k K) Node {
-	if n, ok := m[k]; ok {
-		return n
-	}
-	return None
-}
-
-type heapSlot struct {
-	obj  *interp.Object // nil for statics
-	slot int64
-}
-
-type frame struct {
-	locals map[int]Node // last writer of each local
-	ctx    uint64       // encoded receiver-object chain
-}
-
-// tracer builds a Gcost from interpreter events.
-type tracer struct {
-	G      *Gcost
-	slots  uint64                  // s, the number of context slots
-	writer map[heapSlot]Node       // the shadow heap: last writer of each slot
-	tag    map[*interp.Object]Node // allocation node of each object
-	args   []Node                  // tracking stack: actuals,
-	ctx    uint64                  // callee context,
-	call   bool                    // pushed by BeforeCall;
-	ret    Node                    // the returned value's writer
-}
-
 // NewGcost returns an empty graph over prog.
 func NewGcost(prog *ir.Program) *Gcost {
 	return &Gcost{Prog: prog, Freq: map[Node]int64{}, Deps: map[Node]Set{}, Refs: map[Node]Set{},
 		Stores: map[Loc]Set{}, Loads: map[Loc]Set{}, Children: map[Loc]Set{}}
 }
 
-// Profile runs prog to completion (maxSteps bounds it; 0 = unlimited) under
-// the oracle tracer with s = slots context slots and returns the Gcost with
-// the executed instruction count. It runs the interpreter's switch loop, so
-// the reference shares no dispatch code with the profiled engine either.
-// It models thin slicing as Figure 4 states it, not the traditional-slicing
-// or control-tracking ablations.
-func Profile(prog *ir.Program, slots int, maxSteps int64) (*Gcost, int64, error) {
-	t := &tracer{G: NewGcost(prog), slots: uint64(slots), writer: map[heapSlot]Node{}, tag: map[*interp.Object]Node{}, ret: None}
-	m := interp.New(prog)
-	m.LegacyDispatch, m.Tracer, m.MaxSteps = true, t, maxSteps
-	err := m.Run()
-	return t.G, m.Steps, err
+// access is the heap effect of one executed instruction, as the evaluator
+// resolved it: the abstract location, the concrete slot's last writer (nil
+// for instructions that touch no heap slot) and, for stores, the allocation
+// node of the stored object (None for ints and null).
+type access struct {
+	loc   Loc
+	at    *Node
+	child Node
 }
 
-func (t *tracer) dep(n, def Node) {
+func (g *Gcost) dep(n, def Node) {
 	if def != None {
-		Add(t.G.Deps, n, def)
+		Add(g.Deps, n, def)
 	}
-}
-
-func (t *tracer) frame(fr *interp.Frame) *frame {
-	f, ok := fr.Shadow.(*frame)
-	if !ok {
-		f = &frame{locals: map[int]Node{}}
-		fr.Shadow = f
-	}
-	return f
 }
 
 // node abstracts one executed instance of a value-producing instruction to
 // (instruction, h(context)), where h folds the Bond–McKinley encoding into
 // s slots, and counts it.
-func (t *tracer) node(in *ir.Instr, f *frame) Node {
-	n := Node{in.ID, int(f.ctx % t.slots)}
-	t.G.Freq[n]++
+func (g *Gcost) node(in *ir.Instr, ctx, slots uint64) Node {
+	n := Node{in.ID, int(ctx % slots)}
+	g.Freq[n]++
 	return n
 }
 
-// Exec implements interp.Tracer. An executed instruction is a node that
-// depends on the last writers of the locals it reads — except, under thin
-// slicing, the base pointer of a heap access or array length — and of the
-// heap slot it loads; it becomes the last writer of its destination or of
-// the slot it stores.
-func (t *tracer) Exec(ev *interp.Event) {
-	in, f := ev.In, t.frame(ev.Frame)
+// exec applies Figure 4 to one executed instruction of frame f and returns
+// its node. The node depends on the last writers of the locals it reads —
+// except, under thin slicing, the base pointer of a heap access or array
+// length — and of the heap slot it loads; it becomes the last writer of its
+// destination or of the slot it stores.
+func (g *Gcost) exec(in *ir.Instr, f *frame, slots uint64, a access) Node {
 	var n Node
-	switch {
-	case in.Op == ir.OpGoto || in.Op == ir.OpCall || in.Op == ir.OpReturn:
-		return
-	case in.IsConsumer():
+	if in.IsConsumer() {
 		n = Node{in.ID, -1}
-		t.G.Freq[n]++
-	default:
-		n = t.node(in, f)
+		g.Freq[n]++
+	} else {
+		n = g.node(in, f.ctx, slots)
 	}
-	var loc Loc
-	var at heapSlot
-	switch in.Op {
-	case ir.OpNew, ir.OpNewArray:
-		t.tag[ev.New] = n
-	case ir.OpLoadField, ir.OpStoreField:
-		loc, at = Loc{get(t.tag, ev.Base), in.Field.ID}, heapSlot{ev.Base, int64(in.Field.Slot)}
-	case ir.OpALoad, ir.OpAStore:
-		loc, at = Loc{get(t.tag, ev.Base), -1}, heapSlot{ev.Base, ev.Index}
-	case ir.OpLoadStatic, ir.OpStoreStatic:
-		loc, at = Loc{None, in.Static.Slot}, heapSlot{nil, int64(in.Static.Slot)}
-	case ir.OpArrayLen: // the length's writer is the allocation
-		t.dep(n, get(t.tag, ev.Base))
+	base := in.Op == ir.OpLoadField || in.Op == ir.OpStoreField || in.Op == ir.OpALoad ||
+		in.Op == ir.OpAStore || in.Op == ir.OpArrayLen // A is a base pointer
+	if in.Op == ir.OpArrayLen { // the length's writer is the allocation
+		g.dep(n, a.loc.Alloc)
 	}
-	base := at.obj != nil || in.Op == ir.OpArrayLen // A is a base pointer
 	for i, r := range append([]int{in.A, in.B, in.C2}, in.Args...) {
 		if r >= 0 && (i > 0 || !base) {
-			t.dep(n, get(f.locals, r))
+			g.dep(n, f.last[r])
 		}
 	}
 	switch {
 	case in.ReadsHeap() && in.Op != ir.OpArrayLen:
-		t.dep(n, get(t.writer, at))
-		Add(t.G.Loads, loc, n)
+		g.dep(n, *a.at)
+		Add(g.Loads, a.loc, n)
 	case in.WritesHeap():
-		t.writer[at] = n
-		Add(t.G.Stores, loc, n)
-		if loc.Alloc != None { // statics hold references too, but trees root at allocations
-			Add(t.G.Refs, n, loc.Alloc)
-			if c := ev.Val.Ref; ev.Val.K == ir.KindRef && c != nil && get(t.tag, c) != None {
-				Add(t.G.Children, loc, get(t.tag, c))
+		*a.at = n
+		Add(g.Stores, a.loc, n)
+		if a.loc.Alloc != None { // statics hold references too, but trees root at allocations
+			Add(g.Refs, n, a.loc.Alloc)
+			if a.child != None {
+				Add(g.Children, a.loc, a.child)
 			}
 		}
 	}
 	if in.Dst >= 0 {
-		f.locals[in.Dst] = n
+		f.last[in.Dst] = n
 	}
+	return n
 }
 
-// BeforeCall implements interp.Tracer: push the actuals and the callee's
-// context (for instance calls, the caller's chain extended with the
-// receiver's allocation site).
-func (t *tracer) BeforeCall(in *ir.Instr, caller *interp.Frame, _ *ir.Method, recv *interp.Object) {
-	f := t.frame(caller)
-	t.args = t.args[:0]
-	for _, a := range in.Args {
-		t.args = append(t.args, get(f.locals, a))
+// enter passes the actuals' writers of call to the callee frame's formals
+// and gives it its context: the caller's for a static call, the caller's
+// chain extended with the receiver's allocation site for an instance call.
+func enter(call *ir.Instr, caller, callee *frame, recv *object) {
+	for i, a := range call.Args {
+		callee.last[i] = caller.last[a]
 	}
-	t.ctx, t.call = f.ctx, true
+	callee.ctx = caller.ctx
 	if recv != nil {
-		t.ctx = 3*f.ctx + uint64(recv.Site) + 1
+		callee.ctx = 3*caller.ctx + uint64(recv.site) + 1
 	}
 }
 
-// EnterMethod implements interp.Tracer: pop the actuals into the formals.
-func (t *tracer) EnterMethod(fr *interp.Frame, recv *interp.Object) {
-	fr.Shadow = nil
-	f := t.frame(fr)
-	switch {
-	case t.call:
-		for i, a := range t.args {
-			f.locals[i] = a
-		}
-		f.ctx, t.call = t.ctx, false
-	case recv != nil:
-		f.ctx = uint64(recv.Site) + 1
-	}
-}
-
-// BeforeReturn implements interp.Tracer: push the returned value's writer.
-func (t *tracer) BeforeReturn(in *ir.Instr, fr *interp.Frame) {
-	t.ret = None
-	if in.HasA {
-		t.ret = get(t.frame(fr).locals, in.A)
-	}
-}
-
-// AfterCall implements interp.Tracer: a call with a destination assigns
-// the returned value in the caller's context.
-func (t *tracer) AfterCall(in *ir.Instr, caller *interp.Frame, hasValue bool) {
-	ret := t.ret
-	t.ret = None
-	if hasValue && in != nil && in.Dst >= 0 {
-		f := t.frame(caller)
-		n := t.node(in, f)
-		t.dep(n, ret)
-		f.locals[in.Dst] = n
-	}
+// returned assigns a returned value in the caller's context: the call
+// becomes a node depending on the returned value's writer ret.
+func (g *Gcost) returned(call *ir.Instr, caller *frame, slots uint64, ret Node) {
+	n := g.node(call, caller.ctx, slots)
+	g.dep(n, ret)
+	caller.last[call.Dst] = n
 }

@@ -1,7 +1,7 @@
-// Package oraclecheck compares the profiling engine — the interned depgraph
-// Gcost, the frozen cost-benefit DP and the condensed deadness analysis —
-// against the definition-level reference of package oracle. Each check
-// returns the first difference it finds, or nil.
+// Package oraclecheck compares the VM and the profiling engine — the
+// interned depgraph Gcost, the frozen cost-benefit DP and the condensed
+// deadness analysis — against the reference evaluation of package oracle.
+// Each check returns the first difference it finds, or nil.
 package oraclecheck
 
 import (
@@ -12,8 +12,33 @@ import (
 	"lowutil/internal/costben"
 	"lowutil/internal/deadness"
 	"lowutil/internal/depgraph"
+	"lowutil/internal/interp"
 	"lowutil/internal/oracle"
 )
+
+// Machine compares a VM run — m after Run returned runErr — with the
+// oracle's evaluation of the same program: the error kind the run ended in,
+// the output, and the step, allocation and native-work counters.
+func Machine(want *oracle.Result, m *interp.Machine, runErr error) error {
+	kind := ""
+	if runErr != nil {
+		var vmErr *interp.VMError
+		if !errors.As(runErr, &vmErr) {
+			return runErr
+		}
+		kind = vmErr.Kind.String()
+	}
+	switch {
+	case kind != string(want.Err):
+		return fmt.Errorf("error: engine %q, oracle %q", kind, want.Err)
+	case fmt.Sprint(m.Output) != fmt.Sprint(want.Output):
+		return fmt.Errorf("output: engine %v, oracle %v", m.Output, want.Output)
+	case m.Steps != want.Steps || m.Allocs != want.Allocs || m.NativeWork != want.NativeWork:
+		return fmt.Errorf("counters: steps %d/%d allocs %d/%d native %d/%d (engine/oracle)",
+			m.Steps, want.Steps, m.Allocs, want.Allocs, m.NativeWork, want.NativeWork)
+	}
+	return nil
+}
 
 func key(n *depgraph.Node) oracle.Node {
 	if n == nil {

@@ -34,17 +34,17 @@ func setup(t *testing.T) (*oracle.Gcost, *depgraph.Graph, int64) {
 		t.Fatal(err)
 	}
 	g, steps := profileEngine(t, prog)
-	want, osteps, err := oracle.Profile(prog, 16, 0)
-	if err != nil {
-		t.Fatal(err)
+	want := oracle.Run(prog, 16, 0)
+	if want.Err != "" {
+		t.Fatal(want.Err)
 	}
-	if osteps != steps {
-		t.Fatalf("steps: oracle %d, engine %d", osteps, steps)
+	if want.Steps != steps {
+		t.Fatalf("steps: oracle %d, engine %d", want.Steps, steps)
 	}
-	if err := oraclecheck.All(want, g, steps, costben.DefaultTreeHeight); err != nil {
+	if err := oraclecheck.All(want.G, g, steps, costben.DefaultTreeHeight); err != nil {
 		t.Fatalf("unmutated engine graph disagrees with the oracle: %v", err)
 	}
-	return want, g, steps
+	return want.G, g, steps
 }
 
 // TestMutatedFrequencyCaught: decrementing one store node's frequency must

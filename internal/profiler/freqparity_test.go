@@ -118,11 +118,11 @@ func TestDenseFreqMatchesLegacyGraph(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := oracle.Profile(prog, 16, 0)
-	if err != nil {
-		t.Fatal(err)
+	want := oracle.Run(prog, 16, 0)
+	if want.Err != "" {
+		t.Fatal(want.Err)
 	}
-	if err := oraclecheck.Graph(want, p.G); err != nil {
+	if err := oraclecheck.Graph(want.G, p.G); err != nil {
 		t.Fatal(err)
 	}
 }

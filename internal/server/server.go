@@ -308,13 +308,10 @@ func (r *reportResponse) setCacheHit(hit bool)  { r.CacheHit = hit }
 
 type vetRequest struct {
 	Session string `json:"session"`
-	// Engine selects the vet analysis engine: "ssa" (default) or "dense".
-	Engine string `json:"engine,omitempty"`
 }
 
 type vetResponse struct {
 	Session  string   `json:"session"`
-	Engine   string   `json:"engine"`
 	Findings []string `json:"findings"`
 }
 
@@ -515,7 +512,7 @@ func (s *Server) execute(ctx context.Context, sess *Session, reused bool, spec j
 		if err != nil {
 			return nil, hit, err
 		}
-		return &reportResponse{Session: sess.ID, Report: e.report}, hit, nil
+		return &reportResponse{Session: sess.ID, Report: e.val}, hit, nil
 
 	default:
 		return nil, false, &badRequestError{fmt.Errorf("unknown job kind %q", spec.Kind)}
@@ -554,19 +551,11 @@ func (s *Server) handleVet(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs, err := sess.Prog.VetEngine(req.Engine)
-	if err != nil {
-		return nil, &badRequestError{err}
-	}
 	findings := []string{}
-	for _, f := range fs {
+	for _, f := range sess.Prog.Vet() {
 		findings = append(findings, f.Message)
 	}
-	engine := req.Engine
-	if engine == "" {
-		engine = "ssa"
-	}
-	return vetResponse{Session: sess.ID, Engine: engine, Findings: findings}, nil
+	return vetResponse{Session: sess.ID, Findings: findings}, nil
 }
 
 func (s *Server) handleSSA(ctx context.Context, r *http.Request) (any, error) {

@@ -562,27 +562,40 @@ func TestAuditCancellationAndDeadline(t *testing.T) {
 	}
 }
 
-// TestVetEngineAndSSA covers the vet engine selector and the SSA dump
-// endpoint: both engines answer, an unknown engine 400s, and the dump
+// TestVetEngineAndSSA covers the vet and SSA dump endpoints: vet answers
+// with the facade's findings, a leftover "engine" field from clients of the
+// retired engine selector is ignored and echoed nowhere, and the dump
 // carries SSA structure.
 func TestVetEngineAndSSA(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := compileSession(t, ts.URL, workSrc)
-	for _, engine := range []string{"", "ssa", "dense"} {
-		code, body := postJSON(t, ts.URL+"/v2/vet", vetRequest{Session: id, Engine: engine})
-		if code != http.StatusOK {
-			t.Fatalf("vet engine %q: %d %s", engine, code, body)
-		}
-		var vr vetResponse
-		json.Unmarshal(body, &vr)
-		if engine != "dense" && vr.Engine != "ssa" {
-			t.Errorf("engine %q echoed as %q, want ssa", engine, vr.Engine)
+	code, body := postJSON(t, ts.URL+"/v2/vet", vetRequest{Session: id})
+	if code != http.StatusOK {
+		t.Fatalf("vet: %d %s", code, body)
+	}
+	var vr vetResponse
+	json.Unmarshal(body, &vr)
+	prog, err := lowutil.Compile(workSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{}
+	for _, f := range prog.Vet() {
+		want = append(want, f.Message)
+	}
+	if fmt.Sprint(vr.Findings) != fmt.Sprint(want) {
+		t.Errorf("vet findings %q, want %q", vr.Findings, want)
+	}
+	for _, engine := range []string{"dense", "nope"} {
+		c, b := postJSON(t, ts.URL+"/v2/vet", map[string]any{"session": id, "engine": engine})
+		if c != http.StatusOK || !bytes.Equal(b, body) {
+			t.Errorf("engine %q: %d %s, want the plain vet response %s", engine, c, b, body)
 		}
 	}
-	if code, body := postJSON(t, ts.URL+"/v2/vet", vetRequest{Session: id, Engine: "nope"}); code != http.StatusBadRequest {
-		t.Errorf("unknown engine: %d %s, want 400", code, body)
+	if bytes.Contains(body, []byte(`"engine"`)) {
+		t.Errorf("vet response still echoes an engine: %s", body)
 	}
-	code, body := postJSON(t, ts.URL+"/v2/ssa", ssaRequest{Session: id})
+	code, body = postJSON(t, ts.URL+"/v2/ssa", ssaRequest{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("ssa: %d %s", code, body)
 	}

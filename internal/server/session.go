@@ -32,33 +32,36 @@ func sessionKey(src, mainClass, mainMethod string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// profileEntry latches one profiling run. done closes when prof/err are
-// final; mu serializes analysis queries over the shared Profile (the
-// facade does not promise a Profile is safe for concurrent use — its graph
-// caches the frozen snapshot lazily, without a lock — and serializing
-// report rendering is cheap next to the profiling run itself).
-type profileEntry struct {
+// entry latches one memoized run. done closes when val/err are final; mu
+// serializes readers of a val that is not safe for concurrent use (the
+// facade does not promise a Profile is — its graph caches the frozen
+// snapshot lazily, without a lock — and serializing report rendering is
+// cheap next to the profiling run itself).
+type entry[V any] struct {
 	done chan struct{}
-	prof *lowutil.Profile
+	val  V
 	err  error
 	mu   sync.Mutex
 }
 
-// use runs fn with exclusive access to the entry's profile.
-func (e *profileEntry) use(fn func(pr *lowutil.Profile) error) error {
+// use runs fn with exclusive access to the entry's value.
+func (e *entry[V]) use(fn func(V) error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return fn(e.prof)
+	return fn(e.val)
 }
 
-// auditEntry latches one static-audit analysis. done closes when
-// report/err are final; the rendered report is immutable afterwards, so
-// readers need no lock.
-type auditEntry struct {
-	done   chan struct{}
-	report string
-	err    error
-}
+// profileEntry latches one profiling run; auditEntry one static-audit
+// report, which is immutable once rendered.
+type (
+	profileEntry = entry[*lowutil.Profile]
+	auditEntry   = entry[string]
+)
+
+// memo maps canonical options to their latched runs; the memo keys are the
+// canonical facade options themselves (see canonical), so two requests with
+// equal keys share one run. The owning Session's mu guards it.
+type memo[K comparable, V any] map[K]*entry[V]
 
 // Session is one compiled program plus its memoized profiling runs and
 // static-audit reports.
@@ -67,39 +70,53 @@ type Session struct {
 	Created time.Time
 	Prog    *lowutil.Program
 
-	// The memo keys are the canonical facade options themselves (see
-	// canonical): two requests with equal keys share one run.
 	mu       sync.Mutex
-	profiles map[lowutil.ProfileOptions]*profileEntry
-	audits   map[lowutil.AnalysisOptions]*auditEntry
+	profiles memo[lowutil.ProfileOptions, *lowutil.Profile]
+	audits   memo[lowutil.AnalysisOptions, string]
 }
 
 // profile returns the memoized run for key, computing it under ctx on a
-// miss. The second result reports a cache hit — true whenever another
+// miss (see memoize).
+func (s *Session) profile(ctx context.Context, key lowutil.ProfileOptions) (*profileEntry, bool, error) {
+	return memoize(ctx, s, &s.profiles, key, func() (*lowutil.Profile, error) {
+		return s.Prog.ProfileContext(ctx, set(key))
+	})
+}
+
+// audit returns the memoized static-audit report for key, computing it
+// under ctx on a miss (see memoize).
+func (s *Session) audit(ctx context.Context, key lowutil.AnalysisOptions) (*auditEntry, bool, error) {
+	return memoize(ctx, s, &s.audits, key, func() (string, error) {
+		return s.Prog.StaticAudit(ctx, set(key))
+	})
+}
+
+// memoize returns the entry for key in s's memo m, computing it with run on
+// a miss. The second result reports a cache hit — true whenever another
 // request already created the entry, including one still in flight (the
 // caller then waits on the latch instead of burning a second run). A run
 // aborted by cancellation is evicted so the next request retries; a waiter
 // whose own context is still live retries immediately.
-func (s *Session) profile(ctx context.Context, key lowutil.ProfileOptions) (*profileEntry, bool, error) {
+func memoize[K comparable, V any](ctx context.Context, s *Session, m *memo[K, V], key K, run func() (V, error)) (*entry[V], bool, error) {
 	for {
 		s.mu.Lock()
-		if s.profiles == nil {
-			s.profiles = make(map[lowutil.ProfileOptions]*profileEntry)
+		if *m == nil {
+			*m = memo[K, V]{}
 		}
-		e, hit := s.profiles[key]
+		e, hit := (*m)[key]
 		if !hit {
-			e = &profileEntry{done: make(chan struct{})}
-			s.profiles[key] = e
+			e = &entry[V]{done: make(chan struct{})}
+			(*m)[key] = e
 		}
 		s.mu.Unlock()
 
 		if !hit {
 			s.fill(e.done, &e.err, func() {
-				if s.profiles[key] == e {
-					delete(s.profiles, key)
+				if (*m)[key] == e {
+					delete(*m, key)
 				}
 			}, func() (err error) {
-				e.prof, err = s.Prog.ProfileContext(ctx, set(key))
+				e.val, err = run()
 				return err
 			})
 			return e, false, e.err
@@ -141,60 +158,14 @@ func (s *Session) fill(done chan struct{}, errp *error, evict func(), fn func() 
 	}
 }
 
-// audit returns the memoized static-audit report for key, computing it
-// under ctx on a miss. Same latch discipline as profile: a hit may wait on
-// an in-flight analysis, a run aborted by cancellation is evicted so the
-// next request retries, and a waiter whose own context is still live
-// retries immediately.
-func (s *Session) audit(ctx context.Context, key lowutil.AnalysisOptions) (*auditEntry, bool, error) {
-	for {
-		s.mu.Lock()
-		if s.audits == nil {
-			s.audits = make(map[lowutil.AnalysisOptions]*auditEntry)
-		}
-		e, hit := s.audits[key]
-		if !hit {
-			e = &auditEntry{done: make(chan struct{})}
-			s.audits[key] = e
-		}
-		s.mu.Unlock()
+// cachedProfiles and cachedAudits report how many runs the session holds.
+func (s *Session) cachedProfiles() int { return size(s, &s.profiles) }
+func (s *Session) cachedAudits() int   { return size(s, &s.audits) }
 
-		if !hit {
-			s.fill(e.done, &e.err, func() {
-				if s.audits[key] == e {
-					delete(s.audits, key)
-				}
-			}, func() (err error) {
-				e.report, err = s.Prog.StaticAudit(ctx, set(key))
-				return err
-			})
-			return e, false, e.err
-		}
-
-		select {
-		case <-e.done:
-			if e.err != nil && errors.Is(e.err, lowutil.ErrCanceled) && ctx.Err() == nil {
-				continue // the computing request was canceled, not this one
-			}
-			return e, true, e.err
-		case <-ctx.Done():
-			return nil, true, fmt.Errorf("%w: %w", lowutil.ErrCanceled, ctx.Err())
-		}
-	}
-}
-
-// cachedAudits reports how many completed audit reports the session holds.
-func (s *Session) cachedAudits() int {
+func size[K comparable, V any](s *Session, m *memo[K, V]) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.audits)
-}
-
-// cachedProfiles reports how many completed runs the session holds.
-func (s *Session) cachedProfiles() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.profiles)
+	return len(*m)
 }
 
 // sessionCache is a mutex-guarded LRU of compiled sessions.

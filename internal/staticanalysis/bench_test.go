@@ -37,18 +37,6 @@ func BenchmarkNewCFG(b *testing.B) {
 	}
 }
 
-func BenchmarkLiveness(b *testing.B) {
-	prog := largestWorkload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range prog.Classes {
-			for _, m := range c.Methods {
-				NewLiveness(m, nil)
-			}
-		}
-	}
-}
-
 func BenchmarkPruneSet(b *testing.B) {
 	prog := largestWorkload(b)
 	b.ResetTimer()

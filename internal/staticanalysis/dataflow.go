@@ -92,34 +92,29 @@ func (b BitSet) Range(f func(i int)) {
 	}
 }
 
-// Problem is a gen/kill dataflow problem over a CFG. The engine handles both
-// directions and both meets; blocks unreachable from the entry are left at
-// the bottom element (empty for union problems, full for intersection).
+// Problem is a forward gen/kill dataflow problem over a CFG. The engine
+// handles both meets; blocks unreachable from the entry are left at the
+// bottom element (empty for union problems, full for intersection).
 type Problem struct {
 	CFG *ir.CFG
 	// Bits is the size of the bit domain.
 	Bits int
-	// Backward selects backward flow (liveness-style); default is forward.
-	Backward bool
 	// Intersect selects intersection as the meet (must-style); default is
 	// union (may-style).
 	Intersect bool
-	// Gen and Kill are per-block transfer sets: out = gen ∪ (in ∖ kill) for
-	// forward problems, in = gen ∪ (out ∖ kill) for backward ones.
+	// Gen and Kill are per-block transfer sets: out = gen ∪ (in ∖ kill).
 	Gen, Kill []BitSet
-	// Boundary seeds the entry (forward) or every exit block (backward);
-	// nil means empty.
+	// Boundary seeds the entry; nil means empty.
 	Boundary BitSet
 }
 
 // Solution holds the fixpoint: In[b] and Out[b] are the dataflow facts at
-// block b's entry and exit in *execution* order (even for backward problems).
+// block b's entry and exit.
 type Solution struct {
 	In, Out []BitSet
 }
 
-// Solve runs the worklist iteration to a fixpoint. Iteration order is
-// reverse postorder for forward problems and postorder for backward ones, so
+// Solve runs the worklist iteration to a fixpoint in reverse postorder, so
 // loop-free methods converge in one pass.
 func Solve(p *Problem) *Solution {
 	cfg := p.CFG
@@ -133,17 +128,9 @@ func Solve(p *Problem) *Solution {
 		return sol
 	}
 
-	order := make([]int, len(cfg.RPO))
-	copy(order, cfg.RPO)
-	if p.Backward {
-		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
-		}
-	}
-
 	if p.Intersect {
 		// Start reachable blocks at top (full) so the meet can only shrink.
-		for _, b := range order {
+		for _, b := range cfg.RPO {
 			sol.In[b].Fill(p.Bits)
 			sol.Out[b].Fill(p.Bits)
 		}
@@ -179,35 +166,19 @@ func Solve(p *Problem) *Solution {
 	changed := true
 	for changed {
 		changed = false
-		for _, b := range order {
-			blk := &cfg.Blocks[b]
-			if p.Backward {
-				meetInto(sol.Out[b], blk.Succs, sol.In)
-				tmp.CopyFrom(sol.Out[b])
-				tmp.AndNot(p.Kill[b])
-				tmp.UnionWith(p.Gen[b])
-				if !tmp.Equal(sol.In[b]) {
-					sol.In[b].CopyFrom(tmp)
-					changed = true
-				}
-			} else {
-				if b == 0 {
-					// The entry meets its predecessors (loops back to the
-					// entry) plus the boundary.
-					meetInto(sol.In[b], blk.Preds, sol.Out)
-					if p.Boundary != nil {
-						sol.In[b].UnionWith(p.Boundary)
-					}
-				} else {
-					meetInto(sol.In[b], blk.Preds, sol.Out)
-				}
-				tmp.CopyFrom(sol.In[b])
-				tmp.AndNot(p.Kill[b])
-				tmp.UnionWith(p.Gen[b])
-				if !tmp.Equal(sol.Out[b]) {
-					sol.Out[b].CopyFrom(tmp)
-					changed = true
-				}
+		for _, b := range cfg.RPO {
+			// Every block meets its predecessors; the entry, which loops may
+			// reach back to, also takes the boundary.
+			meetInto(sol.In[b], cfg.Blocks[b].Preds, sol.Out)
+			if b == 0 && p.Boundary != nil {
+				sol.In[b].UnionWith(p.Boundary)
+			}
+			tmp.CopyFrom(sol.In[b])
+			tmp.AndNot(p.Kill[b])
+			tmp.UnionWith(p.Gen[b])
+			if !tmp.Equal(sol.Out[b]) {
+				sol.Out[b].CopyFrom(tmp)
+				changed = true
 			}
 		}
 	}

@@ -100,9 +100,9 @@ var deadStoreOps = map[ir.Op]bool{
 
 // VetDense runs the full static diagnostics suite using the dense
 // (reaching-definitions) per-method engine. It predates the SSA engine in
-// vetssa.go and is kept both as the reference point for the differential
-// test and as a fallback (`lowutil vet -engine=dense`): every SSA finding
-// class is pinned to this engine's results, kind by kind.
+// vetssa.go and is kept as the reference point for the differential test
+// and fuzzgen's vet-agreement invariant: every SSA finding class is pinned
+// to this engine's results, kind by kind.
 func VetDense(prog *ir.Program) []Finding {
 	return VetDenseWith(prog, interproc.Analyze(prog, interproc.Config{Mode: interproc.RTA}))
 }

@@ -103,24 +103,9 @@ type VetFinding struct {
 // Vet runs the static diagnostics suite — no execution involved — and
 // returns the findings sorted by (class, method, pc) so output is stable
 // across runs. Zero findings means the program is clean under all five
-// checks. Vet uses the SSA-based engine; VetEngine selects explicitly.
+// checks. Vet uses the SSA-based engine.
 func (p *Program) Vet() []VetFinding {
 	return convertFindings(staticanalysis.Vet(p.prog))
-}
-
-// VetEngine runs the vet suite with an explicit engine: "ssa" (the default —
-// sparse analyses over SSA form, with transitive dead-store chains and
-// SCCP-proven unreachable code) or "dense" (the classic bit-vector
-// reaching-definitions engine, kept as the differential-testing reference).
-func (p *Program) VetEngine(engine string) ([]VetFinding, error) {
-	switch engine {
-	case "", "ssa":
-		return convertFindings(staticanalysis.Vet(p.prog)), nil
-	case "dense":
-		return convertFindings(staticanalysis.VetDense(p.prog)), nil
-	default:
-		return nil, fmt.Errorf("lowutil: unknown vet engine %q (want ssa or dense)", engine)
-	}
 }
 
 func convertFindings(fs []staticanalysis.Finding) []VetFinding {

@@ -30,7 +30,7 @@ go test -shuffle=on ./...
 # job-vs-synchronous byte identity, the spec hash's field coverage, the
 # SDK-vs-server wire keys and the canonical-form sharing of equivalent
 # requests.
-go test ./client ./internal/server ./internal/jobs -run 'Acceptance|Envelope|Compat|Synchronous|Hash|Wire|Equivalent' -count=1
+go test ./client ./internal/server ./internal/jobs -run 'Acceptance|Envelope|LegacyField|Synchronous|Hash|Wire|Equivalent' -count=1
 # Public-API pin: the exported surface of the root package must match the
 # checked-in golden (scripts/apisurface.golden).
 sh scripts/apisurface.sh

@@ -10,7 +10,7 @@ import (
 	"lowutil/internal/workloads"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the vet golden files under testdata/vet/")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // TestVetGoldenWorkloads runs the full vet suite (with its default
 // interprocedural pipeline) over every workload and compares the rendered

@@ -2,12 +2,12 @@
 // pair in the repository: a seeded, deterministic generator of well-formed
 // MJ programs plus a differential harness that checks, on each generated
 // program, the invariants the fixed 18-workload suites prove — interpreter
-// output/step/alloc parity between the handler-table and switch interpreter
-// loops, Gcost and metric parity with the definition-level reference in
-// package oracle, dynamic Gcost containment
-// in the static interprocedural slice (CHA and RTA+ObjCtx), cost-benefit
-// ranking preservation under the static prune, the SSA-vs-dense vet
-// agreement relations, escape-analysis soundness, and byte-stable report
+// error-kind/output/step/alloc parity with the IR evaluator in package
+// oracle, Gcost and metric parity with the Gcost that oracle builds,
+// dynamic Gcost containment in the static interprocedural slice (CHA and
+// RTA+ObjCtx), cost-benefit ranking preservation under the static prune,
+// the containment relations between the SSA vet engine and the oracle's
+// path-walking vet, escape-analysis soundness, and byte-stable report
 // re-emission.
 //
 // Generated programs are correct by construction: every loop is bounded,

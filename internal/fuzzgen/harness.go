@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"lowutil"
@@ -53,7 +52,8 @@ type Invariant struct {
 //	slice-containment-cha  dynamic Gcost ⊆ static slice under CHA
 //	slice-containment-rta  dynamic Gcost ⊆ static slice under RTA+ObjCtx
 //	prune-ranking          static prune preserves the per-site ranking
-//	vet-agreement          SSA vs dense vet subset/equality relations
+//	vet-agreement          SSA vet vs the oracle's path-walking vet: the
+//	                       per-kind containment relations of oraclecheck.Vet
 //	escape-soundness       dynamic escapes ⊆ static non-NoEscape (CHA and RTA)
 //	report-stability       profile/slice/audit reports are byte-stable across
 //	                       repeated emission
@@ -405,34 +405,9 @@ func checkPruneRanking(c *caseRun) error {
 	return nil
 }
 
-type findingKey struct {
-	class, method string
-	pc            int
-}
-
-func keySet(fs []staticanalysis.Finding, kind staticanalysis.Kind) map[findingKey]bool {
-	out := make(map[findingKey]bool)
-	for _, f := range fs {
-		if f.Kind == kind {
-			out[findingKey{f.Class, f.Method, f.PC}] = true
-		}
-	}
-	return out
-}
-
-func subsetErr(what string, sub, super map[findingKey]bool) error {
-	for k := range sub {
-		if !super[k] {
-			return fmt.Errorf("%s violated: %s.%s:%d found by the smaller engine only",
-				what, k.class, k.method, k.pc)
-		}
-	}
-	return nil
-}
-
-// checkVetAgreement pins the SSA-vs-dense vet relations proven on the fixed
-// workloads: the SSA engine may differ from the dense engine only in
-// directions that are precision improvements.
+// checkVetAgreement checks the SSA vet engine against the oracle's
+// path-walking vet: the per-kind containment relations of oraclecheck.Vet,
+// which the fixed workloads also run.
 func checkVetAgreement(c *caseRun) error {
 	prog, err := c.irProg()
 	if err != nil {
@@ -442,71 +417,7 @@ func checkVetAgreement(c *caseRun) error {
 	if err != nil {
 		return err
 	}
-	dense := staticanalysis.VetDenseWith(prog, an)
-	sparse := staticanalysis.VetWith(prog, an)
-
-	if err := subsetErr("dead-store (dense ⊆ ssa)",
-		keySet(dense, staticanalysis.KindDeadStore), keySet(sparse, staticanalysis.KindDeadStore)); err != nil {
-		return err
-	}
-	if err := subsetErr("unused-alloc (dense ⊆ ssa)",
-		keySet(dense, staticanalysis.KindUnusedAlloc), keySet(sparse, staticanalysis.KindUnusedAlloc)); err != nil {
-		return err
-	}
-	denseUnreach := keySet(dense, staticanalysis.KindUnreachable)
-	if err := subsetErr("unreachable (dense ⊆ ssa)",
-		denseUnreach, keySet(sparse, staticanalysis.KindUnreachable)); err != nil {
-		return err
-	}
-	if err := subsetErr("uninit-read (ssa ⊆ dense)",
-		keySet(sparse, staticanalysis.KindUninitRead), keySet(dense, staticanalysis.KindUninitRead)); err != nil {
-		return err
-	}
-	ccSuper := keySet(sparse, staticanalysis.KindCalleeClobbered)
-	for k := range keySet(sparse, staticanalysis.KindDeadStore) {
-		ccSuper[k] = true
-	}
-	if err := subsetErr("callee-clobbered (dense ⊆ ssa ∪ ssa-dead)",
-		keySet(dense, staticanalysis.KindCalleeClobbered), ccSuper); err != nil {
-		return err
-	}
-	// The escape lints come from one shared helper: exact equality.
-	for _, k := range []staticanalysis.Kind{staticanalysis.KindConfinedAllocInLoop, staticanalysis.KindCopyChain} {
-		if err := subsetErr(k.String()+" (dense ⊆ ssa)", keySet(dense, k), keySet(sparse, k)); err != nil {
-			return err
-		}
-		if err := subsetErr(k.String()+" (ssa ⊆ dense)", keySet(sparse, k), keySet(dense, k)); err != nil {
-			return err
-		}
-	}
-	// Extra SSA unreachable reports must carry the SCCP attribution.
-	for _, f := range sparse {
-		if f.Kind != staticanalysis.KindUnreachable {
-			continue
-		}
-		k := findingKey{f.Class, f.Method, f.PC}
-		if !denseUnreach[k] && !strings.Contains(f.Detail, "constant propagation") {
-			return fmt.Errorf("extra unreachable report without SCCP attribution: %v", f)
-		}
-	}
-	// Write-only fields are computed identically by both engines.
-	var dWO, sWO []string
-	for _, f := range dense {
-		if f.Kind == staticanalysis.KindWriteOnlyField {
-			dWO = append(dWO, f.String())
-		}
-	}
-	for _, f := range sparse {
-		if f.Kind == staticanalysis.KindWriteOnlyField {
-			sWO = append(sWO, f.String())
-		}
-	}
-	sort.Strings(dWO)
-	sort.Strings(sWO)
-	if strings.Join(dWO, "\n") != strings.Join(sWO, "\n") {
-		return fmt.Errorf("write-only-field reports differ:\ndense: %v\nssa:   %v", dWO, sWO)
-	}
-	return nil
+	return oraclecheck.Vet(prog, an)
 }
 
 func checkEscapeSoundness(c *caseRun) error {

@@ -50,9 +50,9 @@ func AnalyzeContext(ctx context.Context, prog *ir.Program, cfg Config) (*Analysi
 	if err != nil {
 		return nil, err
 	}
-	flows := make(map[int]*methodFlow, len(cg.Methods()))
+	flows := make(map[int]*Flow, len(cg.Methods()))
 	for _, m := range cg.Methods() {
-		flows[m.ID] = newMethodFlow(m)
+		flows[m.ID] = NewFlow(m)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -82,6 +82,56 @@ func AnalyzeContext(ctx context.Context, prog *ir.Program, cfg Config) (*Analysi
 // Bounds returns the frequency-weighted static cost/benefit bounds — the
 // default ranking. Use Slice.Bounds for the unweighted PR 3 bounds.
 func (a *Analysis) Bounds() []LocBound { return a.Slice.BoundsWeighted(a.Freq) }
+
+// UnreadAllocSites returns, per allocation-site instruction ID, whether
+// points-to proves the objects allocated there are never read: no reachable
+// heap read uses them as a base, and no reachable predicate, instanceof, or
+// native consumes the reference itself. Writes into the object
+// (construction) do not count as uses, matching the dynamic zero-benefit
+// criterion.
+func (a *Analysis) UnreadAllocSites() map[int]bool {
+	used := make(map[ObjID]bool)
+	mark := func(m *ir.Method, slot int) {
+		for _, o := range a.PT.VarPT(m, slot) {
+			used[o] = true
+		}
+	}
+	for _, m := range a.CG.Methods() {
+		for pc := range m.Code {
+			in := &m.Code[pc]
+			switch in.Op {
+			case ir.OpLoadField, ir.OpALoad, ir.OpArrayLen:
+				mark(m, in.A)
+			case ir.OpIf:
+				mark(m, in.A)
+				mark(m, in.B)
+			case ir.OpInstanceOf:
+				mark(m, in.A)
+			case ir.OpNative:
+				for _, arg := range in.Args {
+					mark(m, arg)
+				}
+			}
+		}
+	}
+	unread := make(map[int]bool)
+	objsBySite := make(map[int][]ObjID)
+	for id := range a.PT.Objects {
+		site := a.PT.Objects[id].Site
+		objsBySite[site.ID] = append(objsBySite[site.ID], ObjID(id))
+	}
+	for siteID, objs := range objsBySite {
+		dead := true
+		for _, o := range objs {
+			if used[o] {
+				dead = false
+				break
+			}
+		}
+		unread[siteID] = dead
+	}
+	return unread
+}
 
 // LocName renders an abstract location for reports: the qualified static
 // field, or the allocation site (with its context qualifier) plus field.

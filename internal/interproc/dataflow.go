@@ -6,24 +6,24 @@ import (
 	"lowutil/internal/ir"
 )
 
-// methodFlow is the per-method local dataflow the interprocedural analyses
-// share: reaching definitions over the CFG, exposed as, for every instruction
-// operand, the set of definitions that may have produced the value read.
-// Definitions are instruction pcs; each parameter contributes a pseudo-
-// definition numbered len(m.Code)+slot, exactly as in
-// staticanalysis.ReachingDefs (re-derived here so interproc depends only on
-// the IR).
-type methodFlow struct {
-	m   *ir.Method
-	cfg *ir.CFG
+// Flow is the per-method reaching-definitions relation, the one def-use
+// source of the repository: the interprocedural analyses here and the static
+// prune (staticanalysis.PruneSet) read it. It is exposed as, for every
+// instruction operand, the set of definitions that may have produced the
+// value read. Definitions are instruction pcs; each parameter contributes a
+// pseudo-definition numbered len(m.Code)+slot.
+type Flow struct {
+	Method *ir.Method
+	CFG    *ir.CFG
 
-	// operands[pc] lists, in Instr.Uses callback order, the reads performed
-	// by the instruction with their reaching definitions.
-	operands [][]operand
+	// Operands[pc] lists, in Instr.Uses callback order, the reads performed
+	// by the instruction with their reaching definitions; nil for
+	// instructions unreachable from the entry.
+	Operands [][]Operand
 }
 
-// operand is one read performed by an instruction.
-type operand struct {
+// Operand is one read performed by an instruction.
+type Operand struct {
 	Slot int
 	// Base marks a base-pointer read, which thin slicing excludes from value
 	// flow.
@@ -39,9 +39,9 @@ func isParamDef(m *ir.Method, d int) bool { return d >= len(m.Code) }
 // paramOfDef returns the parameter slot of a pseudo-def.
 func paramOfDef(m *ir.Method, d int) int { return d - len(m.Code) }
 
-// newMethodFlow computes reaching definitions for m with a dense bitset
+// NewFlow computes reaching definitions for m with a dense bitset
 // worklist over the CFG and materializes the per-operand def sets.
-func newMethodFlow(m *ir.Method) *methodFlow {
+func NewFlow(m *ir.Method) *Flow {
 	cfg := ir.NewCFG(m)
 	n := len(m.Code)
 	ndefs := n + m.Params
@@ -70,6 +70,7 @@ func newMethodFlow(m *ir.Method) *methodFlow {
 	}
 	// Forward union fixpoint; the entry block starts with the parameter
 	// pseudo-defs.
+	tmp := make([]uint64, words)
 	for changed := true; changed; {
 		changed = false
 		for _, b := range cfg.RPO {
@@ -88,7 +89,6 @@ func newMethodFlow(m *ir.Method) *methodFlow {
 					set(cur, n+s)
 				}
 			}
-			tmp := make([]uint64, words)
 			copy(tmp, cur)
 			for pc := blk.Start; pc < blk.End; pc++ {
 				if d := m.Code[pc].Def(); d >= 0 {
@@ -111,7 +111,7 @@ func newMethodFlow(m *ir.Method) *methodFlow {
 		}
 	}
 
-	mf := &methodFlow{m: m, cfg: cfg, operands: make([][]operand, n)}
+	mf := &Flow{Method: m, CFG: cfg, Operands: make([][]Operand, n)}
 	cur := make([]uint64, words)
 	for _, b := range cfg.RPO {
 		blk := &cfg.Blocks[b]
@@ -119,7 +119,7 @@ func newMethodFlow(m *ir.Method) *methodFlow {
 		for pc := blk.Start; pc < blk.End; pc++ {
 			inst := &m.Code[pc]
 			inst.Uses(func(s int, base bool) {
-				op := operand{Slot: s, Base: base}
+				op := Operand{Slot: s, Base: base}
 				for w := 0; w < words; w++ {
 					bitsw := cur[w] & defsOfSlot[s][w]
 					for bitsw != 0 {
@@ -129,7 +129,7 @@ func newMethodFlow(m *ir.Method) *methodFlow {
 						op.Defs = append(op.Defs, d)
 					}
 				}
-				mf.operands[pc] = append(mf.operands[pc], op)
+				mf.Operands[pc] = append(mf.Operands[pc], op)
 			})
 			if d := inst.Def(); d >= 0 {
 				for w := range cur {

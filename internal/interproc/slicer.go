@@ -70,7 +70,7 @@ func depKey(use, def int) uint64 { return uint64(uint32(use))<<32 | uint64(uint3
 
 // newStaticGraph builds the static Gcost over-approximation, polling ctx
 // between phases and once per producer-fixpoint iteration.
-func newStaticGraph(ctx context.Context, cg *CallGraph, pt *PointsTo, flows map[int]*methodFlow) (*StaticGraph, error) {
+func newStaticGraph(ctx context.Context, cg *CallGraph, pt *PointsTo, flows map[int]*Flow) (*StaticGraph, error) {
 	prog := cg.Prog
 	sg := &StaticGraph{
 		Prog:      prog,
@@ -102,7 +102,7 @@ func newStaticGraph(ctx context.Context, cg *CallGraph, pt *PointsTo, flows map[
 // producers are, over every reachable call site targeting the method, the
 // reaching definitions of the actual — where a definition that is itself a
 // formal of the caller recurses into the caller's producers.
-func (sg *StaticGraph) computeProducers(ctx context.Context, flows map[int]*methodFlow) error {
+func (sg *StaticGraph) computeProducers(ctx context.Context, flows map[int]*Flow) error {
 	nm := countMethods(sg.Prog)
 	args := make([]map[int]bool, 0)
 	argIdx := make([][]int, nm) // methodID → slot → index into args, -1 unset
@@ -143,7 +143,7 @@ func (sg *StaticGraph) computeProducers(ctx context.Context, flows map[int]*meth
 			// Formals: pull from every reachable call site targeting m.
 			for _, c := range sg.CG.CallersOf(m) {
 				caller := c.Method
-				ops := flows[caller.ID].operands[c.PC]
+				ops := flows[caller.ID].Operands[c.PC]
 				for i := 0; i < len(ops) && i < m.Params; i++ {
 					set := args[argIdx[m.ID][i]]
 					for _, d := range ops[i].Defs {
@@ -160,7 +160,7 @@ func (sg *StaticGraph) computeProducers(ctx context.Context, flows map[int]*meth
 				if in.Op != ir.OpReturn || !in.HasA {
 					continue
 				}
-				for _, op := range mf.operands[pc] {
+				for _, op := range mf.Operands[pc] {
 					for _, d := range op.Defs {
 						if addDef(rets[m.ID], m, d) {
 							changed = true
@@ -239,13 +239,13 @@ func (sg *StaticGraph) addChildren(owner int, field int, m *ir.Method, valSlot i
 }
 
 // addEdges installs every edge class.
-func (sg *StaticGraph) addEdges(flows map[int]*methodFlow) {
+func (sg *StaticGraph) addEdges(flows map[int]*Flow) {
 	// Value-operand and producer edges.
 	for _, m := range sg.CG.Methods() {
 		mf := flows[m.ID]
 		for pc := range m.Code {
 			in := &m.Code[pc]
-			for _, op := range mf.operands[pc] {
+			for _, op := range mf.Operands[pc] {
 				if op.Base {
 					continue
 				}

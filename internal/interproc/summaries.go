@@ -53,7 +53,7 @@ type Summaries struct {
 
 // newSummaries computes the summaries to a global fixpoint over cg, polling
 // ctx once per outer fixpoint iteration.
-func newSummaries(ctx context.Context, cg *CallGraph, pt *PointsTo, flows map[int]*methodFlow) (*Summaries, error) {
+func newSummaries(ctx context.Context, cg *CallGraph, pt *PointsTo, flows map[int]*Flow) (*Summaries, error) {
 	nm := countMethods(cg.Prog)
 	s := &Summaries{
 		CG:           cg,
@@ -79,12 +79,12 @@ func newSummaries(ctx context.Context, cg *CallGraph, pt *PointsTo, flows map[in
 }
 
 // computeDeadParams marks formals whose entry definition reaches no operand.
-func (s *Summaries) computeDeadParams(flows map[int]*methodFlow) {
+func (s *Summaries) computeDeadParams(flows map[int]*Flow) {
 	for _, m := range s.CG.Methods() {
 		read := make([]bool, m.Params)
 		mf := flows[m.ID]
-		for pc := range mf.operands {
-			for _, op := range mf.operands[pc] {
+		for pc := range mf.Operands {
+			for _, op := range mf.Operands[pc] {
 				for _, d := range op.Defs {
 					if isParamDef(m, d) {
 						read[paramOfDef(m, d)] = true
@@ -105,7 +105,7 @@ func (s *Summaries) computeDeadParams(flows map[int]*methodFlow) {
 // interprocedural refinements: a call result is tainted only when some
 // resolved target's return is, and a formal is tainted only when some
 // reachable call site passes a tainted actual.
-func (s *Summaries) computeTaint(ctx context.Context, flows map[int]*methodFlow) error {
+func (s *Summaries) computeTaint(ctx context.Context, flows map[int]*Flow) error {
 	for changed := true; changed; {
 		changed = false
 		if err := ctx.Err(); err != nil {
@@ -121,7 +121,7 @@ func (s *Summaries) computeTaint(ctx context.Context, flows map[int]*methodFlow)
 					if in.Op != ir.OpReturn || !in.HasA {
 						continue
 					}
-					for _, op := range mf.operands[pc] {
+					for _, op := range mf.Operands[pc] {
 						for _, d := range op.Defs {
 							if taint[d] {
 								s.retTainted[m.ID] = true
@@ -137,7 +137,7 @@ func (s *Summaries) computeTaint(ctx context.Context, flows map[int]*methodFlow)
 				if in.Op != ir.OpCall {
 					continue
 				}
-				for ai, op := range mf.operands[pc] {
+				for ai, op := range mf.Operands[pc] {
 					argTainted := false
 					for _, d := range op.Defs {
 						if taint[d] {
@@ -163,7 +163,7 @@ func (s *Summaries) computeTaint(ctx context.Context, flows map[int]*methodFlow)
 
 // localTaint computes per-definition taint for m under the current global
 // assumptions. Indexes: pcs, then len(code)+slot parameter pseudo-defs.
-func (s *Summaries) localTaint(m *ir.Method, mf *methodFlow) []bool {
+func (s *Summaries) localTaint(m *ir.Method, mf *Flow) []bool {
 	n := len(m.Code)
 	taint := make([]bool, n+m.Params)
 	for i := 0; i < m.Params; i++ {
@@ -192,7 +192,7 @@ func (s *Summaries) localTaint(m *ir.Method, mf *methodFlow) []bool {
 			if taint[pc] || m.Code[pc].Def() < 0 {
 				continue
 			}
-			for _, op := range mf.operands[pc] {
+			for _, op := range mf.Operands[pc] {
 				if op.Base {
 					continue
 				}

@@ -5,6 +5,8 @@ import (
 
 	"lowutil/internal/interp"
 	"lowutil/internal/ir"
+	"lowutil/internal/mjc"
+	"lowutil/internal/ssa"
 	"lowutil/internal/workloads"
 )
 
@@ -105,5 +107,35 @@ func TestFreqCoversExecution(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEntryLoopFrequency: f's loop returns to pc 0, so the entry block is a
+// loop header and n needs a phi there joining the argument with the back
+// edge. Without it pc 1 reads the argument on every iteration, and with IPCP
+// seeding n = 3 the frequency estimate treats the executed `return n` as
+// proven dead. The program prints 11.
+func TestEntryLoopFrequency(t *testing.T) {
+	prog, err := mjc.Compile(`
+class Main {
+  static void main() { print(f(3)); }
+  static int f(int n) { for (;;) { n = n + 1; if (n > 10) { return n; } } return 0; }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := prog.ClassByName("Main").LookupMethod("f")
+	if fn := ssa.Build(f, nil); len(fn.Phis[0]) != 1 {
+		t.Errorf("entry block phis = %d, want 1 (for n)", len(fn.Phis[0]))
+	}
+	an := Analyze(prog, Config{Mode: RTA})
+	ret := -1
+	for pc := range f.Code {
+		if in := &f.Code[pc]; in.Op == ir.OpReturn && ret < 0 {
+			ret = pc
+		}
+	}
+	if w := an.Freq[f.Code[ret].ID]; w <= 0 {
+		t.Errorf("frequency of the executed return at pc %d = %v, want > 0", ret, w)
 	}
 }

@@ -2,9 +2,10 @@ package ir
 
 // CFG is the control-flow graph of one method body: the instruction stream
 // partitioned into maximal basic blocks with explicit successor/predecessor
-// edges. It is the substrate the static analyses (internal/staticanalysis)
-// and the structural validator share: branch structure is computed once, here,
-// instead of being re-derived from instruction indices at every use site.
+// edges. It is the substrate the static analyses (internal/ssa,
+// internal/interproc) and the structural validator share: branch structure
+// is computed once, here, instead of being re-derived from instruction
+// indices at every use site.
 type CFG struct {
 	Method *Method
 	Blocks []Block

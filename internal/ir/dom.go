@@ -1,10 +1,6 @@
 package ir
 
-// This file hosts the dominator machinery the SSA layer is built on. The
-// immediate-dominator computation started life in internal/staticanalysis
-// (PR 1); it lives here now so that internal/ssa can use it without a
-// dependency cycle (staticanalysis depends on ssa for its sparse vet
-// checks). staticanalysis re-exports Dominators for its existing callers.
+// This file hosts the dominator machinery the SSA layer is built on.
 
 // Dominators computes the immediate dominator of every reachable block with
 // the Cooper–Harvey–Kennedy iterative algorithm over the reverse postorder.
@@ -87,7 +83,10 @@ func NewDomTree(cfg *CFG) *DomTree {
 		d.Children[d.Idom[b]] = append(d.Children[d.Idom[b]], b)
 	}
 	// Dominance frontiers (Cooper–Harvey–Kennedy): for every join block,
-	// walk each predecessor's idom chain up to the join's idom.
+	// walk each predecessor's idom chain up to the join's idom. The entry's
+	// idom is a virtual root above block 0 (-1 here), so the walk for an
+	// entry join runs through block 0 itself: a loop back to the entry puts
+	// the entry in its own frontier.
 	d.Frontier = make([][]int, nb)
 	inFrontier := make([]int, nb) // last join added per runner, -1 sentinel
 	for i := range inFrontier {
@@ -100,14 +99,21 @@ func NewDomTree(cfg *CFG) *DomTree {
 		if len(preds) < 2 && !(b == 0 && len(preds) >= 1) {
 			continue
 		}
+		stop := d.Idom[b]
+		if b == 0 {
+			stop = -1
+		}
 		for _, p := range preds {
 			if d.Idom[p] == -1 {
 				continue
 			}
-			for runner := p; runner != d.Idom[b]; runner = d.Idom[runner] {
+			for runner := p; runner != stop; runner = d.Idom[runner] {
 				if inFrontier[runner] != b {
 					inFrontier[runner] = b
 					d.Frontier[runner] = append(d.Frontier[runner], b)
+				}
+				if runner == 0 {
+					break
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 // Package oraclecheck compares the VM and the profiling engine — the
 // interned depgraph Gcost, the frozen cost-benefit DP and the condensed
-// deadness analysis — against the reference evaluation of package oracle.
+// deadness analysis — against the reference evaluation of package oracle,
+// and the SSA vet engine against the oracle's path-walking vet (vet.go).
 // Each check returns the first difference it finds, or nil.
 package oraclecheck
 

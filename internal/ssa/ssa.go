@@ -150,9 +150,8 @@ func Build(m *ir.Method, cfg *ir.CFG) *Func {
 }
 
 // liveIn computes, per block, the slots live at block entry — the pruning
-// filter for phi placement. A small self-contained backward bitset solver;
-// the staticanalysis package has a general engine, but ssa sits below it in
-// the dependency order.
+// filter for phi placement. A small self-contained backward bitset solver:
+// no other package in the repository computes liveness.
 func (f *Func) liveIn() []bitset {
 	m, cfg := f.M, f.CFG
 	nb := cfg.NumBlocks()
@@ -438,8 +437,7 @@ func (f *Func) Name(v ValID) string {
 	return fmt.Sprintf("%s.%d", base, val.Version)
 }
 
-// bitset is a minimal fixed-size bit vector (ssa cannot depend on
-// staticanalysis's BitSet without inverting the package order).
+// bitset is a minimal fixed-size bit vector for liveIn.
 type bitset []uint64
 
 func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }

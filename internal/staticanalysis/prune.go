@@ -29,7 +29,8 @@ var pruneOps = map[ir.Op]bool{
 // PruneSet returns, indexed by ir.Instr.ID, the instructions whose Gcost
 // events the tracer may skip without changing any thin-sliced cost-benefit
 // result. The proof obligation has two halves, both discharged from the
-// def-use chains (locals are frame-private, so the chains are complete):
+// def-use chains of interproc.Flow (locals are frame-private, so the chains
+// are complete):
 //
 //  1. The instruction's node must feed nothing the analyses walk forward
 //     from a store or backward from a load: every use of its value is a
@@ -78,21 +79,25 @@ func PruneSetWith(prog *ir.Program, sum *interproc.Summaries) ([]bool, PruneStat
 }
 
 func pruneMethod(m *ir.Method, prune []bool, st *PruneStats, sum *interproc.Summaries) {
-	cfg := ir.NewCFG(m)
-	rd := NewReachingDefs(m, cfg)
-	du := rd.DefUse()
+	flow := interproc.NewFlow(m)
+	cfg := flow.CFG
 	n := len(m.Code)
 
 	// inputs[pc] lists the definitions feeding pc's value operands (base
-	// operands excluded — thin slicing never consumes them).
+	// operands excluded — thin slicing never consumes them); readers[d],
+	// its inverse, lists the instructions reading definition d that way.
 	inputs := make([][]int, n)
-	for d, uses := range du {
-		for _, u := range uses {
-			if u.Base {
+	readers := make([][]int, n+m.Params)
+	for pc, ops := range flow.Operands {
+		for _, op := range ops {
+			if op.Base {
 				continue
 			}
-			if m.Code[u.PC].Def() >= 0 {
-				inputs[u.PC] = append(inputs[u.PC], d)
+			for _, d := range op.Defs {
+				readers[d] = append(readers[d], pc)
+				if m.Code[pc].Def() >= 0 {
+					inputs[pc] = append(inputs[pc], d)
+				}
 			}
 		}
 	}
@@ -164,11 +169,8 @@ func pruneMethod(m *ir.Method, prune []bool, st *PruneStats, sum *interproc.Summ
 			if !cand[pc] {
 				continue
 			}
-			for _, u := range du[pc] {
-				if u.Base {
-					continue
-				}
-				if m.Code[u.PC].Def() < 0 || !cand[u.PC] {
+			for _, r := range readers[pc] {
+				if m.Code[r].Def() < 0 || !cand[r] {
 					cand[pc] = false
 					changed = true
 					break

@@ -1,3 +1,18 @@
+// Package staticanalysis holds the two zero-execution products built on the
+// per-method analyses of internal/ssa and internal/interproc:
+//
+//   - Vet, a diagnostics suite (dead stores, write-only fields, unused
+//     allocations, unreachable code, possibly-uninitialized reads,
+//     callee-clobbered stores and the escape-shape lints) over pruned SSA,
+//     surfaced as `lowutil vet`;
+//   - PruneSet, a static pre-analysis that proves instructions irrelevant to
+//     any heap value flow under the paper's thin-slicing rules, so the
+//     dynamic profiler can skip Gcost event emission for them entirely. It
+//     reads the reaching definitions of interproc.Flow.
+//
+// The paper's pipeline is purely dynamic — every executed instruction is
+// traced into Gcost. This layer answers questions without running the
+// program and makes the dynamic hot path cheaper.
 package staticanalysis
 
 import (
@@ -98,32 +113,6 @@ var deadStoreOps = map[ir.Op]bool{
 	ir.OpArrayLen:   true,
 }
 
-// VetDense runs the full static diagnostics suite using the dense
-// (reaching-definitions) per-method engine. It predates the SSA engine in
-// vetssa.go and is kept as the reference point for the differential test
-// and fuzzgen's vet-agreement invariant: every SSA finding class is pinned
-// to this engine's results, kind by kind.
-func VetDense(prog *ir.Program) []Finding {
-	return VetDenseWith(prog, interproc.Analyze(prog, interproc.Config{Mode: interproc.RTA}))
-}
-
-// VetDenseWith is VetDense over a caller-supplied interprocedural analysis.
-// A nil analysis degrades every whole-program check to its single-method
-// approximation (the pre-call-graph behavior).
-func VetDenseWith(prog *ir.Program, an *interproc.Analysis) []Finding {
-	var out []Finding
-	out = append(out, writeOnlyFields(prog, an)...)
-	out = append(out, escapeLints(an)...)
-	unusedByPT := interprocUnusedObjects(an)
-	for _, c := range prog.Classes {
-		for _, m := range c.Methods {
-			out = append(out, vetMethod(m, an, unusedByPT)...)
-		}
-	}
-	sortFindings(out)
-	return out
-}
-
 // writeOnlyFields finds instance and static fields stored somewhere but
 // loaded nowhere in the program. With a call graph, loads and stores in
 // unreachable methods no longer count: a field whose every load sits in dead
@@ -186,282 +175,6 @@ func writeOnlyFields(prog *ir.Program, an *interproc.Analysis) []Finding {
 				PC:     -1,
 				Detail: detail("static field", sf.QualifiedName(), staticLoadedAnywhere[sf]),
 			})
-		}
-	}
-	return out
-}
-
-// interprocUnusedObjects returns, per allocation-site instruction ID, whether
-// the whole-program points-to relation proves the objects allocated there are
-// never read: no reachable heap read uses them as a base, and no reachable
-// predicate, instanceof, or native consumes the reference itself. Writes into
-// the object (construction) do not count as uses, matching the dynamic
-// zero-benefit criterion.
-func interprocUnusedObjects(an *interproc.Analysis) map[int]bool {
-	if an == nil {
-		return nil
-	}
-	used := make(map[interproc.ObjID]bool)
-	mark := func(m *ir.Method, slot int) {
-		for _, o := range an.PT.VarPT(m, slot) {
-			used[o] = true
-		}
-	}
-	for _, m := range an.CG.Methods() {
-		for pc := range m.Code {
-			in := &m.Code[pc]
-			switch in.Op {
-			case ir.OpLoadField, ir.OpALoad, ir.OpArrayLen:
-				mark(m, in.A)
-			case ir.OpIf:
-				mark(m, in.A)
-				mark(m, in.B)
-			case ir.OpInstanceOf:
-				mark(m, in.A)
-			case ir.OpNative:
-				for _, a := range in.Args {
-					mark(m, a)
-				}
-			}
-		}
-	}
-	unused := make(map[int]bool)
-	objsBySite := make(map[int][]interproc.ObjID)
-	for id := range an.PT.Objects {
-		site := an.PT.Objects[id].Site
-		objsBySite[site.ID] = append(objsBySite[site.ID], interproc.ObjID(id))
-	}
-	for siteID, objs := range objsBySite {
-		dead := true
-		for _, o := range objs {
-			if used[o] {
-				dead = false
-				break
-			}
-		}
-		unused[siteID] = dead
-	}
-	return unused
-}
-
-// vetMethod runs the per-method checks: dead stores, unused allocations,
-// unreachable code, possibly-uninitialized reads, and (given an analysis)
-// callee-clobbered stores.
-func vetMethod(m *ir.Method, an *interproc.Analysis, unusedByPT map[int]bool) []Finding {
-	cfg := ir.NewCFG(m)
-	rd := NewReachingDefs(m, cfg)
-	du := rd.DefUse()
-	var out []Finding
-
-	finding := func(kind Kind, pc int, format string, args ...any) Finding {
-		return Finding{
-			Kind:   kind,
-			Class:  m.Class.Name,
-			Method: m.Name,
-			PC:     pc,
-			Line:   m.Code[pc].Line,
-			Detail: fmt.Sprintf(format, args...),
-		}
-	}
-
-	// Dead stores: a definition with no uses at all. Zero/null constants are
-	// exempt — the MJ front end synthesizes them for every declaration
-	// without an initializer, and `int x = 0; if (...) x = 1;` is idiomatic.
-	for pc := range m.Code {
-		in := &m.Code[pc]
-		if in.Def() < 0 || !deadStoreOps[in.Op] || !cfg.Reachable(cfg.BlockOf[pc]) {
-			continue
-		}
-		if in.Op == ir.OpConst && (in.IsNull || in.Imm == 0) {
-			continue
-		}
-		if len(du[pc]) == 0 {
-			out = append(out, finding(KindDeadStore, pc,
-				"value of %s (%s) is never used", m.LocalName(in.Dst), in))
-		}
-	}
-
-	// Unused allocations. The per-method rule: the object is only ever
-	// written into (it is a store base) or copied between locals; it is
-	// never loaded from, never compared, and never escapes into a call, the
-	// heap, or the return value. With whole-program points-to the escape
-	// bail-outs go away: an object may be stored into the heap and passed
-	// between methods, and is still dead when no reachable instruction ever
-	// reads through it or consumes the reference.
-	covered := an != nil && an.CG.Reachable(m)
-	for pc := range m.Code {
-		in := &m.Code[pc]
-		if !in.IsAlloc() || !cfg.Reachable(cfg.BlockOf[pc]) {
-			continue
-		}
-		switch {
-		case allocIsUnused(m, du, pc):
-			out = append(out, finding(KindUnusedAlloc, pc,
-				"allocation (%s) never escapes and is never read", in))
-		case covered && unusedByPT[in.ID]:
-			out = append(out, finding(KindUnusedAlloc, pc,
-				"allocation (%s) is never read through any alias", in))
-		}
-	}
-
-	// Callee-clobbered stores: a computed value whose every use hands it to
-	// a call-argument position that no resolved target reads. The dead-store
-	// check requires an empty use set; this is its interprocedural
-	// completion for uses that cross into callees and die there.
-	if covered {
-		for pc := range m.Code {
-			in := &m.Code[pc]
-			if in.Def() < 0 || !deadStoreOps[in.Op] || !cfg.Reachable(cfg.BlockOf[pc]) {
-				continue
-			}
-			if in.Op == ir.OpConst && (in.IsNull || in.Imm == 0) {
-				continue
-			}
-			if len(du[pc]) == 0 || !usesAllClobbered(m, an, du[pc], in.Dst) {
-				continue
-			}
-			out = append(out, finding(KindCalleeClobbered, pc,
-				"value of %s (%s) is passed only to parameters no callee reads",
-				m.LocalName(in.Dst), in))
-		}
-	}
-
-	// Unreachable code. Blocks holding only gotos and void returns are
-	// compiler plumbing (the MJ front end emits a jump after a returning
-	// then-branch and a trailing return after a returning body) and are not
-	// reported.
-	for b := range cfg.Blocks {
-		blk := &cfg.Blocks[b]
-		if cfg.Reachable(b) {
-			continue
-		}
-		artifact := true
-		for pc := blk.Start; pc < blk.End; pc++ {
-			in := &m.Code[pc]
-			if in.Op != ir.OpGoto && !(in.Op == ir.OpReturn && !in.HasA) {
-				artifact = false
-				break
-			}
-		}
-		if !artifact {
-			out = append(out, finding(KindUnreachable, blk.Start,
-				"unreachable code (%d instructions)", blk.End-blk.Start))
-		}
-	}
-
-	// Possibly-uninitialized reads: a must-initialized forward analysis
-	// (intersection over predecessors). A read outside the must-set has some
-	// path that bypasses the slot's initialization. Reads with *no*
-	// initializing path are rejected by the IR validator before a program
-	// gets here.
-	out = append(out, uninitReads(m, cfg)...)
-	return out
-}
-
-// usesAllClobbered reports whether every given use of a value in slot is a
-// call argument at a position every resolved target ignores. A slot may
-// appear at several argument positions of one call; all of them must be
-// ignored.
-func usesAllClobbered(m *ir.Method, an *interproc.Analysis, uses []Use, slot int) bool {
-	for _, u := range uses {
-		c := &m.Code[u.PC]
-		if c.Op != ir.OpCall {
-			return false
-		}
-		for i, a := range c.Args {
-			if a == slot && !an.Sum.ArgIgnoredByAllTargets(c, i) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// allocIsUnused walks the def-use chains from the allocation at pc,
-// following local-to-local moves, and reports whether every transitive use
-// is a construction-only use (a store with the object as base).
-func allocIsUnused(m *ir.Method, du [][]Use, pc int) bool {
-	visited := map[int]bool{pc: true}
-	work := []int{pc}
-	for len(work) > 0 {
-		d := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, u := range du[d] {
-			in := &m.Code[u.PC]
-			switch {
-			case in.Op == ir.OpMove:
-				if !visited[u.PC] {
-					visited[u.PC] = true
-					work = append(work, u.PC)
-				}
-			case u.Base && (in.Op == ir.OpStoreField || in.Op == ir.OpAStore):
-				// Writing into the object: construction work only.
-			default:
-				// Loaded from, compared, returned, passed, or stored as a
-				// value — the object is used.
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// uninitReads reports reads of slots not must-initialized at the read point.
-func uninitReads(m *ir.Method, cfg *ir.CFG) []Finding {
-	nb := cfg.NumBlocks()
-	if nb == 0 {
-		return nil
-	}
-	boundary := NewBitSet(m.NumLocals)
-	for s := 0; s < m.Params && s < m.NumLocals; s++ {
-		boundary.Set(s)
-	}
-	p := &Problem{
-		CFG:       cfg,
-		Bits:      m.NumLocals,
-		Intersect: true,
-		Gen:       make([]BitSet, nb),
-		Kill:      make([]BitSet, nb),
-		Boundary:  boundary,
-	}
-	for b := 0; b < nb; b++ {
-		gen := NewBitSet(m.NumLocals)
-		blk := &cfg.Blocks[b]
-		for pc := blk.Start; pc < blk.End; pc++ {
-			if d := m.Code[pc].Def(); d >= 0 {
-				gen.Set(d)
-			}
-		}
-		p.Gen[b] = gen
-		p.Kill[b] = NewBitSet(m.NumLocals)
-	}
-	sol := Solve(p)
-
-	var out []Finding
-	cur := NewBitSet(m.NumLocals)
-	for _, b := range cfg.RPO {
-		blk := &cfg.Blocks[b]
-		cur.CopyFrom(sol.In[b])
-		for pc := blk.Start; pc < blk.End; pc++ {
-			in := &m.Code[pc]
-			reported := false
-			in.Uses(func(s int, _ bool) {
-				if reported || cur.Has(s) {
-					return
-				}
-				reported = true
-				out = append(out, Finding{
-					Kind:   KindUninitRead,
-					Class:  m.Class.Name,
-					Method: m.Name,
-					PC:     pc,
-					Line:   in.Line,
-					Detail: fmt.Sprintf("%s may be read before initialization (%s)", m.LocalName(s), in),
-				})
-			})
-			if d := in.Def(); d >= 0 {
-				cur.Set(d)
-			}
 		}
 	}
 	return out

@@ -1,64 +1,30 @@
-package staticanalysis
+package staticanalysis_test
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
 	"lowutil/internal/interproc"
+	"lowutil/internal/ir"
+	"lowutil/internal/oracle"
+	"lowutil/internal/oracle/oraclecheck"
+	"lowutil/internal/staticanalysis"
 	"lowutil/internal/workloads"
 )
 
-// Differential test between the dense (reaching-definitions) and SSA vet
-// engines. The SSA engine is allowed to differ from the dense one only in
-// directions that are precision improvements, pinned per kind:
+// Differential test between the SSA vet engine and the oracle's naive
+// path-walking vet (package oracle). oraclecheck.Vet holds the per-kind
+// containment relations; this test runs them on every workload.
 //
-//	dead-store          dense ⊆ ssa   (transitive dead chains only add)
-//	unused-alloc        dense ⊆ ssa   (phi-aware closure only adds)
-//	unreachable-code    dense ⊆ ssa   (extra reports are SCCP-proven blocks)
-//	uninit-read         ssa ⊆ dense   (executable-edge taint only removes)
-//	callee-clobbered    dense ⊆ ssa ∪ ssa-dead-stores
-//	write-only-field    identical     (the check is engine-independent)
-//	confined-alloc-in-loop, copy-chain
-//	                    identical     (both engines call the shared escape
-//	                                   analysis helper)
-//
-// The callee-clobbered relation is looser because the SSA engine classifies a
-// store whose value transitively feeds only dead computations as a dead store
-// even when its direct use is an ignored call argument sitting in dead code.
-//
-// The per-workload finding counts for both engines are golden-filed in
-// testdata/vet/differential.golden so a precision regression in either
-// engine — or an SSA "improvement" that silently explodes the report — shows
-// up as a diff.
-
-type findingKey struct {
-	Class, Method string
-	PC            int
-}
-
-func keySet(fs []Finding, kind Kind) map[findingKey]bool {
-	out := make(map[findingKey]bool)
-	for _, f := range fs {
-		if f.Kind == kind {
-			out[findingKey{f.Class, f.Method, f.PC}] = true
-		}
-	}
-	return out
-}
-
-func checkSubset(t *testing.T, what string, sub, super map[findingKey]bool) {
-	t.Helper()
-	for k := range sub {
-		if !super[k] {
-			t.Errorf("%s: %s.%s:%d found by the smaller engine only", what, k.Class, k.Method, k.PC)
-		}
-	}
-}
-
+// The per-workload finding counts of both are golden-filed in
+// testdata/vet/differential.golden as oracle/engine, so a precision
+// regression in either — or an SSA "improvement" that silently explodes the
+// report — shows up as a diff. The oracle models the per-method kinds only;
+// write-only fields and the escape lints have one implementation, whose
+// count appears on both sides.
 func TestVetDifferential(t *testing.T) {
 	var report strings.Builder
 	for _, w := range workloads.All() {
@@ -68,82 +34,34 @@ func TestVetDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		an := interproc.Analyze(prog, interproc.Config{Mode: interproc.RTA})
-		dense := VetDenseWith(prog, an)
-		sparse := VetWith(prog, an)
-
 		t.Run(w.Name, func(t *testing.T) {
-			checkSubset(t, "dead-store (dense ⊆ ssa)",
-				keySet(dense, KindDeadStore), keySet(sparse, KindDeadStore))
-			checkSubset(t, "unused-alloc (dense ⊆ ssa)",
-				keySet(dense, KindUnusedAlloc), keySet(sparse, KindUnusedAlloc))
-			checkSubset(t, "unreachable (dense ⊆ ssa)",
-				keySet(dense, KindUnreachable), keySet(sparse, KindUnreachable))
-			checkSubset(t, "uninit-read (ssa ⊆ dense)",
-				keySet(sparse, KindUninitRead), keySet(dense, KindUninitRead))
-			ccSuper := keySet(sparse, KindCalleeClobbered)
-			for k := range keySet(sparse, KindDeadStore) {
-				ccSuper[k] = true
-			}
-			checkSubset(t, "callee-clobbered (dense ⊆ ssa ∪ ssa-dead)",
-				keySet(dense, KindCalleeClobbered), ccSuper)
-
-			// The escape lints come from one shared helper: exact equality.
-			for _, k := range []Kind{KindConfinedAllocInLoop, KindCopyChain} {
-				checkSubset(t, k.String()+" (dense ⊆ ssa)", keySet(dense, k), keySet(sparse, k))
-				checkSubset(t, k.String()+" (ssa ⊆ dense)", keySet(sparse, k), keySet(dense, k))
-			}
-
-			// Extra unreachable reports must carry the SCCP message.
-			denseUnreach := keySet(dense, KindUnreachable)
-			for _, f := range sparse {
-				if f.Kind != KindUnreachable {
-					continue
-				}
-				k := findingKey{f.Class, f.Method, f.PC}
-				if !denseUnreach[k] && !strings.Contains(f.Detail, "constant propagation") {
-					t.Errorf("extra unreachable report without SCCP attribution: %v", f)
-				}
-			}
-
-			// Write-only fields are computed identically by both engines.
-			var dWO, sWO []string
-			for _, f := range dense {
-				if f.Kind == KindWriteOnlyField {
-					dWO = append(dWO, f.String())
-				}
-			}
-			for _, f := range sparse {
-				if f.Kind == KindWriteOnlyField {
-					sWO = append(sWO, f.String())
-				}
-			}
-			sort.Strings(dWO)
-			sort.Strings(sWO)
-			if strings.Join(dWO, "\n") != strings.Join(sWO, "\n") {
-				t.Errorf("write-only-field reports differ:\ndense: %v\nssa:   %v", dWO, sWO)
+			if err := oraclecheck.Vet(prog, an); err != nil {
+				t.Error(err)
 			}
 		})
 
+		want := make(map[string]int)
+		for _, f := range oracle.Vet(prog, oraclecheck.VetFacts(an)) {
+			want[f.Kind]++
+		}
+		got := make(map[string]int)
+		for _, f := range staticanalysis.VetWith(prog, an) {
+			got[f.Kind.String()]++
+		}
 		report.WriteString(w.Name)
-		for _, k := range []Kind{KindDeadStore, KindWriteOnlyField, KindUnusedAlloc, KindUnreachable, KindUninitRead, KindCalleeClobbered, KindConfinedAllocInLoop, KindCopyChain} {
-			nd, ns := 0, 0
-			for _, f := range dense {
-				if f.Kind == k {
-					nd++
-				}
+		for k := staticanalysis.KindDeadStore; k <= staticanalysis.KindCopyChain; k++ {
+			ref := want[k.String()]
+			switch k {
+			case staticanalysis.KindWriteOnlyField, staticanalysis.KindConfinedAllocInLoop, staticanalysis.KindCopyChain:
+				ref = got[k.String()]
 			}
-			for _, f := range sparse {
-				if f.Kind == k {
-					ns++
-				}
-			}
-			fmt.Fprintf(&report, " %s=%d/%d", k, nd, ns)
+			fmt.Fprintf(&report, " %s=%d/%d", k, ref, got[k.String()])
 		}
 		report.WriteByte('\n')
 	}
 
 	path := filepath.Join("testdata", "vet", "differential.golden")
-	if *updateGolden {
+	if *staticanalysis.UpdateGolden {
 		if err := os.WriteFile(path, []byte(report.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +72,54 @@ func TestVetDifferential(t *testing.T) {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
 	if report.String() != string(want) {
-		t.Errorf("dense/ssa finding counts diverge from %s (regenerate with -update if intended):\n--- got\n%s--- want\n%s",
+		t.Errorf("oracle/ssa finding counts diverge from %s (regenerate with -update if intended):\n--- got\n%s--- want\n%s",
 			path, report.String(), want)
+	}
+}
+
+// TestVetEntryLoop: the method's entry is a loop header, so the read of v1
+// at pc0 is uninitialized on the first iteration and initialized by pc1 on
+// every later one:
+//
+//	pc0: v2 = v1
+//	pc1: v1 = 5
+//	pc2: if v0 < v2 goto 0
+//	pc3: return
+//
+// The oracle and the SSA engine must both report exactly that read, and no
+// dead store at pc1, whose value the back edge carries to pc0.
+func TestVetEntryLoop(t *testing.T) {
+	b := ir.NewBuilder()
+	cls := b.Class("Main", nil)
+	f := b.Method(cls, "f", true, 1, nil)
+	mb := b.Body(f)
+	mb.Move(2, 1)         // pc0
+	mb.Const(1, 5)        // pc1
+	mb.If(0, ir.Lt, 2, 0) // pc2
+	mb.ReturnVoid()       // pc3
+	mn := b.Method(cls, "main", true, 0, nil)
+	mmb := b.Body(mn)
+	mmb.Const(0, 3)
+	mmb.Call(-1, f, 0)
+	mmb.ReturnVoid()
+	prog, err := b.Seal("Main", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := interproc.Analyze(prog, interproc.Config{Mode: interproc.RTA})
+	if err := oraclecheck.Vet(prog, an); err != nil {
+		t.Error(err)
+	}
+	var ref []string
+	for _, fd := range oracle.Vet(prog, oraclecheck.VetFacts(an)) {
+		ref = append(ref, fmt.Sprintf("%s@%s:%d", fd.Kind, fd.Method.Name, fd.PC))
+	}
+	var got []string
+	for _, fd := range staticanalysis.VetWith(prog, an) {
+		got = append(got, fmt.Sprintf("%s@%s:%d", fd.Kind, fd.Method, fd.PC))
+	}
+	want := "[uninit-read@f:0]"
+	if fmt.Sprint(ref) != want || fmt.Sprint(got) != want {
+		t.Errorf("oracle %v, ssa %v; want both %s", ref, got, want)
 	}
 }

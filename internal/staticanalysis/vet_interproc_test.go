@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lowutil/internal/interproc"
+	"lowutil/internal/oracle"
 )
 
 // clobberSrc seeds a callee-clobbered store: every use of x hands it to the
@@ -35,27 +36,33 @@ func TestVetCalleeClobberedStore(t *testing.T) {
 		}
 	}
 	// The SSA engine walks through the move, so both the store of x and the
-	// constant feeding it are flagged (the dense engine finds only the store
-	// of x — see the differential test).
+	// constant feeding it are flagged.
 	if len(hits) != 2 {
 		t.Fatalf("want two callee-clobbered findings, got %v", fs)
 	}
 	if hits[1].Method != "main" || !strings.Contains(hits[1].Detail, "x") {
 		t.Errorf("finding anchored wrong: %v", hits[1])
 	}
-	var denseHits []Finding
-	for _, f := range VetDense(prog) {
-		if f.Kind == KindCalleeClobbered {
-			denseHits = append(denseHits, f)
+	// The oracle follows no moves, so it flags only the store of x.
+	an := interproc.Analyze(prog, interproc.Config{Mode: interproc.RTA})
+	var refHits []int
+	for _, f := range oracle.Vet(prog, oracle.VetFacts{ArgIgnored: an.Sum.ArgIgnoredByAllTargets}) {
+		if f.Kind == KindCalleeClobbered.String() {
+			refHits = append(refHits, f.PC)
 		}
 	}
-	if len(denseHits) != 1 || !strings.Contains(denseHits[0].Detail, "x") {
-		t.Errorf("dense engine should flag exactly the store of x, got %v", denseHits)
+	if len(refHits) != 1 || refHits[0] != hits[1].PC {
+		t.Errorf("oracle should flag exactly the store of x (pc %d), got pcs %v", hits[1].PC, refHits)
 	}
 	// Without whole-program summaries the check must stay silent.
 	for _, f := range VetWith(prog, nil) {
 		if f.Kind == KindCalleeClobbered {
 			t.Errorf("nil analysis must disable the check, got %v", f)
+		}
+	}
+	for _, f := range oracle.Vet(prog, oracle.VetFacts{}) {
+		if f.Kind == KindCalleeClobbered.String() {
+			t.Errorf("oracle without facts must not report callee-clobbered stores, got pc %d", f.PC)
 		}
 	}
 }

@@ -9,10 +9,9 @@ import (
 	"lowutil/internal/ssa"
 )
 
-// The SSA-backed vet engine. The dense engine (vetdense.go) answers every
-// question by consulting a reaching-definitions relation; this engine walks
-// sparse def-use chains over pruned SSA instead, which buys three precision
-// improvements the dense lints cannot express:
+// The vet engine. It walks sparse def-use chains over pruned SSA rather than
+// asking a reaching-definitions relation, which buys three precision
+// improvements over a per-definition use test:
 //
 //   - dead stores are found *transitively*: a computation whose value feeds
 //     only other dead computations is itself dead (DCE-style liveness over
@@ -24,17 +23,16 @@ import (
 //     sparse conditional constant propagation (reported with a distinct
 //     message).
 //
-// The differential test in vet_differential_test.go pins the relation to the
-// dense engine per kind: dead stores and callee-clobbered stores only grow,
-// uninitialized-read reports only shrink, and unreachable-code reports grow
-// only by SCCP-proven blocks.
+// The reference is the naive path-walking vet of package oracle;
+// oraclecheck.Vet pins the relation to it per kind: dead stores and
+// callee-clobbered stores only grow, uninitialized-read reports only shrink,
+// and unreachable-code reports grow only by SCCP-proven blocks.
 
 // Vet runs the full static diagnostics suite over prog using the SSA engine
 // and returns the findings sorted by (class, method, pc, kind) so output is
 // byte-identical across runs. The interprocedural checks run over an RTA
 // call graph with context-insensitive points-to; use VetWith to supply a
-// different pipeline, and VetDense for the dense (reaching-definitions)
-// engine.
+// different pipeline.
 func Vet(prog *ir.Program) []Finding {
 	return VetWith(prog, interproc.Analyze(prog, interproc.Config{Mode: interproc.RTA}))
 }
@@ -46,7 +44,10 @@ func VetWith(prog *ir.Program, an *interproc.Analysis) []Finding {
 	var out []Finding
 	out = append(out, writeOnlyFields(prog, an)...)
 	out = append(out, escapeLints(an)...)
-	unusedByPT := interprocUnusedObjects(an)
+	var unusedByPT map[int]bool
+	if an != nil {
+		unusedByPT = an.UnreadAllocSites()
+	}
 	for _, c := range prog.Classes {
 		for _, m := range c.Methods {
 			out = append(out, vetMethodSSA(m, an, unusedByPT)...)
@@ -161,7 +162,7 @@ func vetMethodSSA(m *ir.Method, an *interproc.Analysis, unusedByPT map[int]bool)
 
 	// Unused allocations: every transitive use of the reference — through
 	// moves *and phis* — is a construction-only store base. The
-	// interprocedural arm is identical to the dense engine's.
+	// interprocedural arm reads interproc's points-to fact.
 	covered := an != nil && an.CG.Reachable(m)
 	for pc := range m.Code {
 		in := &m.Code[pc]
@@ -200,7 +201,7 @@ func vetMethodSSA(m *ir.Method, an *interproc.Analysis, unusedByPT map[int]bool)
 		}
 	}
 
-	// Unreachable code: CFG-unreachable blocks (as in the dense engine), plus
+	// Unreachable code: CFG-unreachable blocks, plus
 	// blocks SCCP proves dead through constant branches. Blocks holding only
 	// gotos and void returns are compiler plumbing and are not reported.
 	for b := range cfg.Blocks {
@@ -317,7 +318,7 @@ func effectiveUsesAllClobbered(f *ssa.Func, m *ir.Method, an *interproc.Analysis
 
 // uninitReadsSSA reports reads whose operand value can be undef along an
 // executable path. At most one finding per instruction (first offending
-// operand in Uses order), matching the dense engine.
+// operand in Uses order).
 func uninitReadsSSA(f *ssa.Func, sc *ssa.SCCP) []Finding {
 	m := f.M
 	tainted := make([]bool, f.NumVals())

@@ -35,10 +35,13 @@ go test ./client ./internal/server ./internal/jobs -run 'Acceptance|Envelope|Leg
 # checked-in golden (scripts/apisurface.golden).
 sh scripts/apisurface.sh
 # Static-analysis gates, run explicitly so a failure names the gate: the
-# vet lint suite over all 18 workloads against its golden files, and the
-# static-vs-dynamic Gcost containment harness (-short subset — the full
-# 18-workload × {CHA, RTA} sweep already ran inside `go test ./...`).
+# vet lint suite over all 18 workloads against its golden files; the SSA
+# vet engine against the oracle's path-walking vet on every workload
+# (containment relations plus the count golden) and the exact prune sets;
+# and the static-vs-dynamic Gcost containment harness (-short subset — the
+# full 18-workload × {CHA, RTA} sweep already ran inside `go test ./...`).
 make lint
+go test ./internal/staticanalysis -run 'VetDifferential|PruneSetGolden' -count=1
 go test ./internal/interproc -run TestSoundnessAllWorkloads -short -count=1
 # Rank-correlation regression gate: the frequency-weighted static bounds
 # must keep matching the recorded precision baseline
